@@ -1,7 +1,7 @@
 # Repo-wide build/test entry points. `make ci` is what the CI script runs:
 # formatting check, vet, build, and the full test suite under the race
-# detector (the floor engine's fault injector, the lotrun orchestrator's
-# worker pool and the retest loop must stay race-clean).
+# detector (the floor engine's fault injector, the lot server's worker
+# pool and the retest loop must stay race-clean).
 
 GO ?= go
 
@@ -31,11 +31,13 @@ test:
 race:
 	$(GO) test -race -shuffle=on -timeout 45m ./...
 
-# Distributed-floor soak: the netfloor suite repeated under the race
-# detector, so its timing-sensitive failover/partition paths see more than
+# One-lot floor soak: the netfloor and lotrun suites — one-lot servers
+# over fault-injected remote sites and over local workers — repeated
+# under the race detector, so the timing-sensitive partition, failover,
+# fallback, exactly-once, kill-resume and bit-identity tests see more than
 # one scheduling.
 netsoak:
-	$(GO) test -race -short -count=2 -timeout 30m ./internal/netfloor/
+	$(GO) test -race -short -count=2 -timeout 30m ./internal/netfloor/ ./internal/lotrun/
 
 # Multi-lot service soak: the lotserver suite repeated under the race
 # detector — admission races, concurrent drain, crash-restart-resume and
@@ -67,19 +69,15 @@ chaossoak:
 	$(GO) test -race -count=2 -timeout 30m ./internal/diskfault/
 	$(GO) test -race -count=2 -timeout 30m -run 'Journal' ./internal/lotrun/
 
-# Serial-vs-parallel benchmarks: lot orchestration (BENCH_lotrun.json),
-# the off-line calibration pipeline (BENCH_pipeline.json), the
-# distributed floor over in-process pipes (BENCH_netfloor.json), the
-# multi-lot screening service (BENCH_server.json: throughput plus
-# p50/p95/p99 device latency) and the batched screening kernel
-# (BENCH_batch.json: devices/sec at K=1/4/16/64). All assert the
-# parallel/distributed/batched results bit-identical to the serial ones
-# before reporting.
+# Serial-vs-parallel benchmarks: the off-line calibration pipeline
+# (BENCH_pipeline.json), the multi-lot screening service
+# (BENCH_server.json: throughput plus p50/p95/p99 device latency) and the
+# batched screening kernel (BENCH_batch.json: devices/sec at
+# K=1/4/16/64). All assert the parallel/batched results bit-identical to
+# the serial ones before reporting.
 bench:
-	$(GO) test -run '^$$' -bench '^(BenchmarkLot|BenchmarkNetLot|BenchmarkCalibrate|BenchmarkGA|BenchmarkServe|BenchmarkShadowScreen|BenchmarkScreenBatch)$$' -benchtime 2x .
-	@echo "--- BENCH_lotrun.json"; cat BENCH_lotrun.json
+	$(GO) test -run '^$$' -bench '^(BenchmarkCalibrate|BenchmarkGA|BenchmarkServe|BenchmarkShadowScreen|BenchmarkScreenBatch)$$' -benchtime 2x .
 	@echo "--- BENCH_pipeline.json"; cat BENCH_pipeline.json
-	@echo "--- BENCH_netfloor.json"; cat BENCH_netfloor.json
 	@echo "--- BENCH_server.json"; cat BENCH_server.json
 	@echo "--- BENCH_batch.json"; cat BENCH_batch.json
 

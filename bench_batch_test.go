@@ -35,8 +35,8 @@ var pr8Baseline = map[string]float64{
 
 // BenchmarkScreenBatch sweeps the kernel batch size over one lot and
 // writes the throughput table to BENCH_batch.json. The k=1 sub-benchmark
-// is the serial ScreenDevice loop — exactly what every orchestrator
-// (lotrun, netfloor, lotserver) executes at batch size 1 — so the
+// is the serial ScreenDevice loop — exactly what the lot server's local
+// workers and remote sites execute at batch size 1 — so the
 // reported speedups are the real floor-throughput gain of raising the
 // batch size. The JSON is only written when the whole sweep ran, so a
 // filtered `-bench` invocation can never clobber the file with a partial

@@ -10,9 +10,9 @@
 //	sigtest -stimulus out.json       # also save the optimized stimulus
 //	sigtest -faults -faultp 0.1      # fault-tolerant floor: inject faults,
 //	                                 # gate captures, retest, fall back
-//	sigtest -faults -sites 4         # concurrent multi-site orchestrator
-//	sigtest -faults -journal lot.journal           # crash-safe journal
-//	sigtest -faults -journal lot.journal -resume   # continue a killed lot
+//	sigtest -faults -sites 4         # four local tester sites
+//	sigtest -faults -journal lot.journal           # crash-safe journal;
+//	                                 # rerun the same command to resume
 //	sigtest -faults -remote :7101,:7102            # distributed floor:
 //	                                 # screen on networked sitetester
 //	                                 # processes (same flags on each site)
@@ -23,6 +23,10 @@
 //	sigtest -server :7200 -rollout shadow -version 1
 //	sigtest -server :7200 -rollout promote
 //	sigtest -server :7200 -rollout demote -reason "bins shifted"
+//
+// -sites, -journal, -batch and -remote screen the lot as the only lot of
+// an in-process lot server (internal/lotserver), the same run loop
+// lotserverd serves; the plain -faults run is the serial reference.
 package main
 
 import (
@@ -33,6 +37,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
@@ -41,7 +46,6 @@ import (
 
 	"repro/internal/lotrun"
 	"repro/internal/lotserver"
-	"repro/internal/netfloor"
 	"repro/internal/rig"
 )
 
@@ -55,8 +59,7 @@ func main() {
 	withFaults := flag.Bool("faults", false, "run production on the fault-tolerant floor engine")
 	faultP := flag.Float64("faultp", 0.10, "total per-insertion fault probability (with -faults)")
 	sites := flag.Int("sites", 1, "concurrent tester sites for the production lot (with -faults)")
-	journal := flag.String("journal", "", "crash-safe lot journal path (with -faults)")
-	resume := flag.Bool("resume", false, "resume an interrupted lot from -journal instead of starting fresh")
+	journal := flag.String("journal", "", "crash-safe lot journal path DIR/ID.journal (with -faults); rerunning with an existing journal resumes its lot")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for the off-line phase (GA fitness, training acquisition, cross-validation); results are identical for any value")
 	remote := flag.String("remote", "", "comma-separated sitetester addresses: screen the lot on the distributed floor (with -faults); each site must run with the same -dut/-seed/-train/-produce/-quick/-faultp")
 	server := flag.String("server", "", "lotserverd address: submit the lot as a thin client — no rig is built here; the server and its sites own the engine")
@@ -75,17 +78,21 @@ func main() {
 	if *sites < 1 {
 		usageFail("-sites %d is not a tester count; need an integer >= 1", *sites)
 	}
-	if *resume && *journal == "" {
-		usageFail("-resume needs -journal: there is no journal to resume from")
-	}
 	if *workers < 1 {
 		usageFail("-workers %d is not a pool size; need an integer >= 1", *workers)
 	}
 	if *produce < 1 {
 		usageFail("-produce %d is not a lot size; need an integer >= 1", *produce)
 	}
-	if (*sites > 1 || *journal != "" || *resume || *remote != "") && !*withFaults {
-		usageFail("-sites/-journal/-resume/-remote orchestrate the fault-tolerant floor; add -faults")
+	if (*sites > 1 || *journal != "" || *remote != "") && !*withFaults {
+		usageFail("-sites/-journal/-remote orchestrate the fault-tolerant floor; add -faults")
+	}
+	var journalDir, journalID string
+	if *journal != "" {
+		var err error
+		if journalDir, journalID, err = journalLot(*journal); err != nil {
+			usageFail("%v", err)
+		}
 	}
 	if *batch < 1 {
 		usageFail("-batch %d is not a batch size; need an integer >= 1", *batch)
@@ -165,7 +172,7 @@ func main() {
 
 	fmt.Printf("[4/4] production run: %d devices against limits...\n", *produce)
 	if *withFaults {
-		runFaultyFloor(r, *sites, *batch, *journal, *resume, remotes)
+		runFaultyFloor(r, *sites, *batch, journalDir, journalID, remotes)
 		return
 	}
 	var pass, escape, overkill int
@@ -195,56 +202,95 @@ func main() {
 // runFaultyFloor screens the production lot on the fault-tolerant floor:
 // seeded fault injection into the acquisition path, signature sanity
 // gating, bounded retests with backoff, and fallback to the conventional
-// spec test for devices that never capture cleanly. With -sites > 1 or a
-// -journal the lot runs under the supervised concurrent orchestrator;
-// with -remote it runs on the distributed floor across networked
-// sitetester processes. Bins are identical on every floor — and at every
+// spec test for devices that never capture cleanly. Bins are identical on
+// every floor — serial, local sites, remote sites, resumed — and at every
 // -batch size, which only changes how many devices share one kernel call.
-func runFaultyFloor(r *rig.Rig, sites, batch int, journal string, resume bool, remotes []string) {
+func runFaultyFloor(r *rig.Rig, sites, batch int, journalDir, journalID string, remotes []string) {
 	fmt.Printf("      fault-tolerant floor: %.0f%% per-insertion fault probability, gate with %d components\n",
 		100*r.Params.FaultP, r.Gate.Components())
-
-	switch {
-	case len(remotes) > 0:
-		c := &netfloor.Coordinator{Engine: r.Engine, Opt: netfloor.Options{
-			Remotes:     remotes,
-			JournalPath: journal,
-			NetSeed:     r.Params.Seed,
-			Batch:       batch,
-			Logf:        logf,
-		}}
-		run := c.Run
-		if resume {
-			run = c.Resume
-		}
-		nrep, err := run(context.Background(), r.Params.Seed, r.Lot, r.Faults)
-		if err != nil {
-			fail("%v", err)
-		}
-		fmt.Print(nrep.Lot)
-		fmt.Print(nrep)
-	case sites > 1 || journal != "" || batch > 1:
-		o := &lotrun.Orchestrator{Engine: r.Engine, Opt: lotrun.Options{
-			Sites: sites, JournalPath: journal, Batch: batch,
-		}}
-		run := o.Run
-		if resume {
-			run = o.Resume
-		}
-		orep, err := run(context.Background(), r.Params.Seed, r.Lot, r.Faults)
-		if err != nil {
-			fail("%v", err)
-		}
-		fmt.Print(orep.Lot)
-		fmt.Print(orep)
-	default:
+	if len(remotes) == 0 && sites == 1 && batch == 1 && journalDir == "" {
 		rep, err := r.Engine.RunLot(r.Params.Seed, r.Lot, r.Faults)
 		if err != nil {
 			fail("%v", err)
 		}
 		fmt.Print(rep)
+	} else {
+		runOneLot(r, sites, batch, journalDir, journalID, remotes)
 	}
 	printLimits(r.Limits)
+}
+
+// runOneLot screens the production lot as the only lot of an in-process
+// lot server: -sites local workers, or the -remote sitetester processes.
+// With a journal, a rerun resumes the lot the same way lotserverd resumes
+// a resubmitted lot ID; a journal from another seed or rig is refused.
+// SIGINT/SIGTERM aborts the lot with its committed devices journaled.
+func runOneLot(r *rig.Rig, sites, batch int, journalDir, journalID string, remotes []string) {
+	opt := lotserver.Options{
+		Engine: r.Engine, Pool: r.Lot, Faults: r.Faults,
+		JournalDir: journalDir, Sites: remotes, NetSeed: r.Params.Seed,
+		Batch: batch, Logf: logf,
+	}
+	if len(remotes) == 0 {
+		opt.LocalWorkers = sites
+	}
+	if journalID == "" {
+		journalID = "lot"
+	}
+	s, err := lotserver.New(opt)
+	if err != nil {
+		fail("%v", err)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	h, err := s.Submit(ctx, lotserver.LotSpec{ID: journalID, Seed: r.Params.Seed, Devices: len(r.Lot)})
+	if err != nil {
+		fail("%v", err)
+	}
+	res, err := h.Wait(context.Background())
+	s.Kill()
+	if err != nil {
+		fail("%v", err)
+	}
+	fmt.Print(res.Report)
+	if len(remotes) > 0 {
+		local := 0
+		for _, d := range res.Report.Results {
+			if d.Site == len(remotes) {
+				local++
+			}
+		}
+		fmt.Printf("lot server: %d remote sites, %d assigns, %d duplicate results absorbed, %d devices screened locally\n",
+			len(remotes), res.Assigns, res.Dups, local)
+	} else {
+		fmt.Printf("lot server: %d local sites\n", sites)
+	}
+	if res.Replayed > 0 {
+		fmt.Printf("  %d devices replayed from journal (%d corrupt lines skipped)\n", res.Replayed, res.Replay.Corrupt)
+	}
+	if len(res.Trips) > 0 {
+		fmt.Printf("  breaker trips: %d\n", len(res.Trips))
+	}
+	for _, a := range res.Alarms {
+		fmt.Printf("  drift alarm (%s) at device %d: ewma %.2f, cusum %.2f over %d samples\n",
+			a.Detector, a.Device, a.EWMA, a.CUSUM, a.Samples)
+	}
+	if res.JournalDegraded {
+		fmt.Printf("  WARNING: journal degraded — lot ran journal-less, resume disabled (%s)\n", res.JournalErr)
+	}
+}
+
+// journalLot splits a -journal path into the lot server's journal
+// directory and the lot ID it names: DIR/ID.journal.
+func journalLot(path string) (dir, id string, err error) {
+	id, ok := strings.CutSuffix(filepath.Base(path), ".journal")
+	if !ok {
+		return "", "", fmt.Errorf("-journal %q: the file name must be ID.journal", path)
+	}
+	if err := lotserver.ValidLotID(id); err != nil {
+		return "", "", fmt.Errorf("-journal %q: %v", path, err)
+	}
+	return filepath.Dir(path), id, nil
 }
 
 // runServerClient submits one lot to a running lotserverd and waits for

@@ -13,7 +13,7 @@
 //
 // Any flag that changes the rig (-dut, -seed, -train, -produce, -quick,
 // -faultp) must match across all processes; the Hello handshake carries
-// the engine fingerprint and lot identity, so a mismatched site is
+// the engine fingerprint and floor identity, so a mismatched site is
 // refused instead of silently binning differently.
 package main
 
@@ -93,7 +93,6 @@ func main() {
 		Engine:            r.Engine,
 		Lot:               r.Lot,
 		Faults:            r.Faults,
-		LotSeed:           r.Params.Seed,
 		HeartbeatInterval: *heartbeat,
 		IdleTimeout:       *idle,
 		MaxBatch:          *batch,

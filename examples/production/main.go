@@ -8,8 +8,9 @@
 //  1. conventional specification testing (per-spec setup + measure on a
 //     high-end RF ATE), and
 //  2. signature testing on the low-cost tester (one capture, regression
-//     read-out), run under the supervised concurrent orchestrator: four
-//     tester sites share the lot queue, a seeded fault model injects
+//     read-out), run as the only lot of an in-process lot server
+//     (internal/lotserver): four tester sites share the lot queue, a
+//     seeded fault model injects
 //     contactor/digitizer/LO/stimulus faults into the acquisition path, a
 //     sanity gate screens each capture before prediction, gated-out
 //     devices are retested with backoff, devices that never capture
@@ -17,16 +18,17 @@
 //     breakers quarantine misbehaving sites, and a drift watchdog charts
 //     the accepted-capture distances.
 //
-// The orchestrated run is journaled and deliberately killed mid-lot
-// (a simulated power cut), then resumed from the journal: the resumed
-// lot's bins are bit-identical to an uninterrupted serial run, because
-// every device's randomness derives from (lot seed, device index) alone.
+// The served lot is journaled and deliberately cut off mid-lot (a
+// simulated power cut), then resubmitted to a fresh server, which resumes
+// it from the journal: the resumed lot's bins are bit-identical to an
+// uninterrupted serial run, because every device's randomness derives
+// from (lot seed, device index) alone.
 //
-// Finally the same lot is screened on the distributed floor: the
-// coordinator drives in-process netfloor sites over net.Pipe connections
-// whose transport drops, duplicates and partitions messages — and the
-// bins still come out identical, because delivery is at-least-once and
-// commit is exactly-once.
+// Finally the same lot is screened on the distributed floor: the lot
+// server drives in-process netfloor sites over net.Pipe connections whose
+// transport drops, duplicates and partitions messages — and the bins
+// still come out identical, because delivery is at-least-once and commit
+// is exactly-once.
 //
 //	go run ./examples/production [-n 60] [-faultp 0.10] [-sites 4]
 package main
@@ -39,7 +41,6 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,7 +49,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/floor"
 	"repro/internal/lna"
-	"repro/internal/lotrun"
+	"repro/internal/lotserver"
 	"repro/internal/netfloor"
 )
 
@@ -171,48 +172,49 @@ func main() {
 	fmt.Print(serial)
 	fmt.Println()
 
-	// Kill-and-resume: run the same gated lot under the orchestrator with
-	// a crash-safe journal, cut the power mid-lot, then resume. The
+	// Kill-and-resume: serve the same gated lot with a crash-safe journal,
+	// cut the power mid-lot, then resubmit it to a fresh server. The
 	// journal replays every committed device; the rest are re-screened
 	// from their (lot seed, index) streams.
-	fmt.Println("== orchestrated run with a simulated power cut ==")
-	journalPath := filepath.Join(os.TempDir(), fmt.Sprintf("production-%d.journal", os.Getpid()))
-	defer os.Remove(journalPath)
-
+	fmt.Println("== served lot with a simulated power cut ==")
+	journalDir, err := os.MkdirTemp("", "production-journal-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(journalDir)
+	spec := lotserver.LotSpec{ID: "production", Seed: lotSeed, Devices: *n}
 	ctx, cut := context.WithCancel(context.Background())
 	var started atomic.Int64
 	killAt := int64(*n) / 2
-	o := &lotrun.Orchestrator{Engine: engine, Opt: lotrun.Options{
-		Sites:       *sites,
-		JournalPath: journalPath,
-		Hook: func(site, device int) {
+	_, err = serveLot(ctx, lotserver.Options{
+		Engine: engine, Pool: lot, Faults: faults,
+		LocalWorkers: *sites, JournalDir: journalDir,
+		Hook: func(lotID string, device int) {
 			if started.Add(1) == killAt {
-				cut() // the "power cut": every site stops taking devices
+				// The "power cut": the lot stops taking devices. Hook runs
+				// on a worker, so it cancels the submission rather than
+				// calling Kill, which waits for that worker.
+				cut()
 			}
 		},
-	}}
-	if _, err := o.Run(ctx, lotSeed, lot, faults); err != nil {
+	}, spec)
+	if err != nil {
 		fmt.Printf("power cut: %v\n", err)
 	} else {
 		fmt.Println("(lot too small to interrupt; completed before the cut)")
 	}
 
-	o.Opt.Hook = nil
-	resumed, err := o.Resume(context.Background(), lotSeed, lot, faults)
+	resumed, err := serveLot(context.Background(), lotserver.Options{
+		Engine: engine, Pool: lot, Faults: faults,
+		LocalWorkers: *sites, JournalDir: journalDir,
+	}, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("resumed: %d devices replayed from the journal, %d corrupt lines skipped\n",
 		resumed.Replayed, resumed.Replay.Corrupt)
-	fmt.Print(resumed)
-
-	identical := true
-	for i := range serial.Results {
-		if serial.Results[i].Bin != resumed.Lot.Results[i].Bin {
-			identical = false
-		}
-	}
-	fmt.Printf("resumed %d-site bins == uninterrupted serial bins: %v\n\n", *sites, identical)
+	fmt.Print(resumed.Report)
+	fmt.Printf("resumed %d-site bins == uninterrupted serial bins: %v\n\n", *sites, sameBins(serial, resumed.Report))
 
 	// Distributed floor: the same lot screened across networked tester
 	// sites — here in-process over net.Pipe, with the transport injecting
@@ -229,14 +231,11 @@ func main() {
 		remotes[s] = addr
 		farm[addr] = &netfloor.Site{
 			Name: addr, Engine: engine, Lot: lot, Faults: faults,
-			LotSeed: lotSeed, HeartbeatInterval: 20 * time.Millisecond,
+			HeartbeatInterval: 20 * time.Millisecond,
 		}
 	}
-	var farmMu sync.Mutex
 	pipeDialer := func(ctx context.Context, addr string) (net.Conn, error) {
-		farmMu.Lock()
 		site := farm[addr]
-		farmMu.Unlock()
 		cli, srv := net.Pipe()
 		farmWG.Add(1)
 		go func() {
@@ -246,29 +245,24 @@ func main() {
 		return cli, nil
 	}
 	prof := netfloor.FaultProfile{DropP: 0.02, DupP: 0.05, PartitionAfter: 40}
-	coord := &netfloor.Coordinator{Engine: engine, Opt: netfloor.Options{
-		Remotes:           remotes,
+	netRes, err := serveLot(context.Background(), lotserver.Options{
+		Engine: engine, Pool: lot, Faults: faults,
+		Sites:             remotes,
 		Dialer:            netfloor.FaultyDialer(pipeDialer, lotSeed, prof),
 		RequestTimeout:    5 * time.Second,
 		HeartbeatInterval: 20 * time.Millisecond,
 		IdleTimeout:       200 * time.Millisecond,
 		RetryBase:         10 * time.Millisecond,
 		NetSeed:           lotSeed,
-	}}
-	netRep, err := coord.Run(context.Background(), lotSeed, lot, faults)
+	}, spec)
 	netStop()
 	farmWG.Wait()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(netRep)
-	netIdentical := true
-	for i := range serial.Results {
-		if serial.Results[i].Bin != netRep.Lot.Results[i].Bin {
-			netIdentical = false
-		}
-	}
-	fmt.Printf("distributed bins == uninterrupted serial bins: %v\n\n", netIdentical)
+	fmt.Printf("distributed floor: %d remote sites, %d assigns, %d duplicate results absorbed\n",
+		*sites, netRes.Assigns, netRes.Dups)
+	fmt.Printf("distributed bins == uninterrupted serial bins: %v\n\n", sameBins(serial, netRes.Report))
 
 	// Floor economics, charged for the retest/fallback load the gated flow
 	// actually incurred plus the orchestrator's journal-sync overhead.
@@ -277,7 +271,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cmp := resumed.Lot.Time
+	cmp := resumed.Report.Time
 	fmt.Printf("insertion time     : %.0f ms conventional vs %.1f ms signature (%.1fx)\n",
 		cmp.ConventionalS*1e3, cmp.SignatureS*1e3, cmp.Speedup)
 	fmt.Printf("throughput         : %.0f vs %.0f devices/hour\n",
@@ -289,6 +283,31 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("cost per device    : %.0fx cheaper with the signature tester\n", factor)
+}
+
+// serveLot screens one lot on a fresh in-process lot server and stops the
+// server once the lot ends. Cancelling ctx aborts the lot; its committed
+// devices stay in the journal for a resubmission to resume.
+func serveLot(ctx context.Context, opt lotserver.Options, spec lotserver.LotSpec) (*lotserver.LotResult, error) {
+	s, err := lotserver.New(opt)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Kill()
+	h, err := s.Submit(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	return h.Wait(context.Background())
+}
+
+func sameBins(a, b *floor.LotReport) bool {
+	for i := range a.Results {
+		if a.Results[i].Bin != b.Results[i].Bin {
+			return false
+		}
+	}
+	return true
 }
 
 func usageFail(format string, args ...any) {

@@ -78,10 +78,9 @@ type TripEvent struct {
 	QuarantineS float64
 }
 
-// Breaker is one site's circuit breaker. It is owned by a single worker
-// goroutine (the in-process orchestrator's site worker, or the
-// distributed coordinator's per-remote loop); the orchestrator collects
-// its stats after the workers join.
+// Breaker is one site's circuit breaker. It is not safe for concurrent
+// use: the lot server keeps one per (lot, worker) and serializes every
+// call under the lot's mutex.
 type Breaker struct {
 	cfg         BreakerConfig
 	state       breakerState

@@ -37,11 +37,9 @@ import (
 // fails) before the record is retried — so a transient I/O error never
 // leaves a committed record unreadable.
 //
-// The journal is shared infrastructure: the in-process orchestrator
-// (Orchestrator) and the distributed coordinator (internal/netfloor)
-// commit through the same exported API, so a lot started locally can even
-// be resumed distributed — the journal only speaks (lot identity,
-// DeviceResult).
+// The journal only speaks (lot identity, DeviceResult): which workers or
+// remote sites screened the devices leaves no trace in it, so a lot
+// started on local workers can be resumed on remote sites and vice versa.
 const JournalVersion = 1
 
 // ErrJournalDegraded marks a lot that ran (or finished) in degraded

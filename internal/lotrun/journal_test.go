@@ -1,7 +1,6 @@
 package lotrun
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -215,47 +214,4 @@ func TestJournalNoHeader(t *testing.T) {
 	if _, _, _, _, err := ReplayJournal(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing journal must be refused")
 	}
-}
-
-// TestResumeAfterJournalCorruption: end-to-end — run a lot to completion,
-// corrupt the journal (garbage + torn tail), and Resume: the corrupted
-// records are re-screened and the final report matches the uncorrupted
-// run exactly.
-func TestResumeAfterJournalCorruption(t *testing.T) {
-	f := getFixture(t)
-	lot := testLot(t, f, 30)
-	faults := floor.DefaultFaultModel(0.12)
-	const seed = 77
-	path := filepath.Join(t.TempDir(), "lot.journal")
-
-	o := &Orchestrator{Engine: f.engine(), Opt: Options{Sites: 2, JournalPath: path, Breaker: quietBreaker()}}
-	ref, err := o.Run(context.Background(), seed, lot, faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tear the tail and scribble garbage over it.
-	torn := append(append([]byte{}, data[:len(data)-25]...), []byte("\xde\xad{torn")...)
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := o.Resume(context.Background(), seed, lot, faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Replay.Corrupt == 0 {
-		t.Fatal("corruption not detected")
-	}
-	if rep.Replayed >= len(lot) {
-		t.Fatalf("replayed %d of %d despite a torn tail", rep.Replayed, len(lot))
-	}
-	if rep.Lot.Binned() != len(lot) {
-		t.Fatalf("%d of %d binned after corrupted resume", rep.Lot.Binned(), len(lot))
-	}
-	reportsEqual(t, "resume after corruption", ref.Lot, rep.Lot)
 }

@@ -1,48 +1,22 @@
-// Package lotrun is the supervised concurrent lot orchestrator: it screens
-// a production lot across N tester sites (worker goroutines), each running
-// the fault-tolerant floor engine's per-device path, under a supervision
-// tree that keeps every systemic failure mode from costing more than it
-// must:
+// Package lotrun holds the supervision primitives every lot run is built
+// from; the run loop that composes them is internal/lotserver's Server,
+// which screens one lot or many:
 //
-//   - panic isolation: a panic escaping the rf/linalg hot paths of one
-//     device's screening is recovered into a structured device error and
-//     the device routed to the fallback bin — one device, never the lot;
-//   - per-device deadlines: a context deadline bounds each device's wall
-//     time; a stuck device stops retesting and falls back;
 //   - a crash-safe journal: every completed device is committed to an
-//     fsync'd JSON-lines journal, and Resume replays the journal and
-//     continues the lot exactly where a crash stopped it — idempotent
-//     under the same lot seed because each device's randomness derives
-//     from (lot seed, index) alone;
+//     fsync'd, CRC-enveloped JSON-lines journal, and replay restores the
+//     committed devices of an interrupted lot — idempotent under the same
+//     lot seed because each device's randomness derives from (lot seed,
+//     index) alone;
 //   - per-site circuit breakers: a site producing consecutive gated-out
 //     insertions (a degrading contactor, a drifted board) is quarantined
-//     (open), re-probed after backoff (half-open), and its queue drains to
+//     (open), re-probed after backoff (half-open), and its work drains to
 //     the healthy sites meanwhile;
 //   - a drift watchdog: EWMA and CUSUM charts on the accepted-capture
 //     gate distances, standardized against the gate's training statistics,
-//     raise a recalibration alarm when the process drifts — and can
-//     auto-trigger retraining of the regression map via a callback.
-//
-// The orchestrator's bins are bit-identical to the serial engine's on the
-// same seeded lot, regardless of site count, scheduling or crash/resume
-// history. Only the economics' quarantine charge depends on which devices
-// land on which site.
+//     raise a recalibration alarm when the process drifts.
 package lotrun
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"time"
-
-	"repro/internal/core"
-	"repro/internal/diskfault"
-	"repro/internal/floor"
-	"repro/internal/modelreg"
-)
+import "errors"
 
 // ErrModelMismatch reports a journal written under a different calibration
 // model than the one trying to resume it — an upgrade problem, not a
@@ -50,631 +24,3 @@ import (
 // retryable failures and react by rebuilding the journal's pinned engine
 // version instead of retrying blindly.
 var ErrModelMismatch = errors.New("lotrun: calibration model mismatch")
-
-// Options configures the orchestrator.
-type Options struct {
-	// Sites is the number of concurrent tester sites (default 1).
-	Sites int
-	// JournalPath enables the crash-safe lot journal when non-empty. Run
-	// starts a fresh journal (overwriting any previous one); Resume
-	// replays it and continues.
-	JournalPath string
-	// DeviceTimeout bounds one device's screening wall time (0 = none).
-	// The first insertion always runs; an expired deadline stops further
-	// retests and routes the device to fallback.
-	DeviceTimeout time.Duration
-	// Batch is how many devices a site screens per engine call through the
-	// batched kernel (floor.Engine.ScreenBatch): shared stimulus state, one
-	// device-batched FFT per retest round, matrix-matrix prediction.
-	// Default (or 1) keeps the serial per-device path. Bins are
-	// bit-identical at every batch size; only throughput changes. A site
-	// takes whatever is queued up to Batch, so partial batches are normal.
-	Batch int
-	// JournalSyncS is the modeled cost of one journal record fsync charged
-	// to the lot economics (default 0.5 ms). Modeled rather than measured
-	// so serial, concurrent and resumed lots charge identically.
-	JournalSyncS float64
-	// FS is the filesystem seam the journal runs on (default diskfault.OS;
-	// tests substitute a seeded diskfault.FaultFS).
-	FS diskfault.FS
-	// JournalRetry bounds the retry-with-backoff applied to each journal
-	// commit before the lot degrades to journal-less mode (zero value:
-	// 3 attempts, 1ms initial backoff).
-	JournalRetry RetryPolicy
-	// QuarantineSleepScale converts modeled quarantine seconds into real
-	// sleep (default 0: quarantine is charged to the economics and the
-	// site re-probes immediately; a positive scale makes the site actually
-	// sit out while healthy sites drain its queue).
-	QuarantineSleepScale float64
-	// Breaker tunes the per-site circuit breakers.
-	Breaker BreakerConfig
-	// Watchdog tunes the drift watchdog (active whenever the engine runs
-	// gated; set Watchdog.Disabled to turn it off).
-	Watchdog WatchdogConfig
-	// Hook, when set, runs inside each device's supervised region before
-	// screening — test instrumentation for injecting panics or delays at
-	// a chosen (site, device).
-	Hook func(site, device int)
-	// OnDrift, when set, is called for every drift alarm.
-	OnDrift func(DriftAlarm)
-	// Recalibrate, when set, is invoked on a drift alarm to retrain the
-	// regression map. With a Registry configured the result is staged as
-	// a candidate version for shadow evaluation and the running lot keeps
-	// its pinned model — recalibration no longer stops the world. Without
-	// a Registry the legacy behavior applies: the calibration and gate
-	// are swapped in for all subsequent devices (the watchdog restarts
-	// against the new gate's baseline), and bins are no longer
-	// scheduling-independent for the remainder of the lot.
-	Recalibrate func(DriftAlarm) (*core.Calibration, *floor.Gate, error)
-	// Registry, when set, receives drift-demanded candidate calibrations
-	// as staged versions (see Recalibrate). Staging failures are logged
-	// and the lot continues — the registry is an upgrade path, never a
-	// new way to kill a lot.
-	Registry *modelreg.Registry
-	// ModelVersion is the calibration version this lot is pinned to; it
-	// is recorded in the journal header and verified on Resume. 0 means
-	// the process's base model.
-	ModelVersion int
-	// Logf logs supervision events (registry staging failures); nil
-	// discards.
-	Logf func(format string, args ...any)
-}
-
-func (o *Options) defaults() error {
-	if o.Sites < 0 {
-		return fmt.Errorf("lotrun: %d sites; need >= 1", o.Sites)
-	}
-	if o.Sites == 0 {
-		o.Sites = 1
-	}
-	if o.Batch < 0 {
-		return fmt.Errorf("lotrun: batch %d; need >= 1", o.Batch)
-	}
-	if o.Batch == 0 {
-		o.Batch = 1
-	}
-	if o.JournalSyncS <= 0 {
-		o.JournalSyncS = 0.5e-3
-	}
-	if o.FS == nil {
-		o.FS = diskfault.OS
-	}
-	return nil
-}
-
-// SiteStats is one site's share of the lot.
-type SiteStats struct {
-	Site        int
-	Devices     int
-	Insertions  int
-	Trips       int
-	QuarantineS float64
-}
-
-// Report is the orchestrator's outcome: the floor LotReport (bins,
-// mis-bins, economics) plus the supervision story.
-type Report struct {
-	Lot   *floor.LotReport
-	Sites []SiteStats
-	// Trips lists every breaker trip across all sites.
-	Trips []TripEvent
-	// Alarms lists the drift watchdog's recalibration alarms.
-	Alarms []DriftAlarm
-	// Recalibrations counts successful Recalibrate invocations.
-	Recalibrations int
-	// StagedVersions lists candidate versions enqueued into the registry
-	// by drift-demanded recalibrations (registry mode only).
-	StagedVersions []int
-	// Replayed is how many devices came from the journal instead of being
-	// screened (0 on a fresh run).
-	Replayed int
-	// Replay details what journal replay found.
-	Replay ReplayStats
-	// JournalDegraded marks a lot whose journal failed persistently
-	// mid-run: the lot finished journal-less (bins intact, resume
-	// disabled). JournalErr carries the final journal error.
-	JournalDegraded bool
-	JournalErr      string
-}
-
-// String renders the supervision summary (the lot itself renders via
-// Report.Lot).
-func (r *Report) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "orchestrator: %d sites", len(r.Sites))
-	if r.Replayed > 0 {
-		fmt.Fprintf(&b, ", %d devices replayed from journal (%d corrupt lines skipped)",
-			r.Replayed, r.Replay.Corrupt)
-	}
-	fmt.Fprintln(&b)
-	for _, s := range r.Sites {
-		fmt.Fprintf(&b, "  site %d: %d devices, %d insertions, %d trips, %.1fs quarantine\n",
-			s.Site, s.Devices, s.Insertions, s.Trips, s.QuarantineS)
-	}
-	if len(r.Trips) > 0 {
-		fmt.Fprintf(&b, "  breaker trips: %d (", len(r.Trips))
-		for i, tr := range r.Trips {
-			if i > 0 {
-				fmt.Fprint(&b, ", ")
-			}
-			fmt.Fprintf(&b, "site %d after device %d run=%d", tr.Site, tr.AfterDevice, tr.Consecutive)
-		}
-		fmt.Fprintln(&b, ")")
-	}
-	for _, a := range r.Alarms {
-		fmt.Fprintf(&b, "  drift alarm (%s) at device %d: ewma %.2f, cusum %.2f over %d samples\n",
-			a.Detector, a.Device, a.EWMA, a.CUSUM, a.Samples)
-	}
-	if r.Recalibrations > 0 {
-		fmt.Fprintf(&b, "  recalibrations triggered: %d\n", r.Recalibrations)
-	}
-	if r.JournalDegraded {
-		fmt.Fprintf(&b, "  WARNING: journal degraded — lot ran journal-less, resume disabled (%s)\n", r.JournalErr)
-	}
-	return b.String()
-}
-
-// Orchestrator screens lots for one engine under the supervision options.
-type Orchestrator struct {
-	Engine *floor.Engine
-	Opt    Options
-}
-
-// Run screens the lot from scratch. If a journal is configured it is
-// started fresh. ctx cancellation stops the lot (the journal keeps every
-// committed device; Resume continues it).
-func (o *Orchestrator) Run(ctx context.Context, lotSeed int64, lot []*core.Device, faults *floor.FaultModel) (*Report, error) {
-	return o.run(ctx, lotSeed, lot, faults, false)
-}
-
-// Resume replays the configured journal and screens only the devices it
-// does not already contain. The same lotSeed, lot and fault model as the
-// interrupted run must be supplied; the journal header is checked against
-// them. The final report is identical to an uninterrupted run's.
-func (o *Orchestrator) Resume(ctx context.Context, lotSeed int64, lot []*core.Device, faults *floor.FaultModel) (*Report, error) {
-	return o.run(ctx, lotSeed, lot, faults, true)
-}
-
-// engineHolder hands the current engine to workers and lets the collector
-// swap in a recalibrated one.
-type engineHolder struct {
-	mu  sync.RWMutex
-	cur *floor.Engine
-	wd  *Watchdog
-}
-
-func (h *engineHolder) engine() *floor.Engine {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.cur
-}
-
-func (h *engineHolder) watchdog() *Watchdog {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.wd
-}
-
-func (h *engineHolder) swap(e *floor.Engine, wd *Watchdog) {
-	h.mu.Lock()
-	h.cur, h.wd = e, wd
-	h.mu.Unlock()
-}
-
-// siteState is one worker's breaker and counters; owned by the worker
-// goroutine, read by the orchestrator after the workers join.
-type siteState struct {
-	br         *Breaker
-	devices    int
-	insertions int
-}
-
-func (o *Orchestrator) run(ctx context.Context, lotSeed int64, lot []*core.Device, faults *floor.FaultModel, resume bool) (*Report, error) {
-	if o.Engine == nil {
-		return nil, fmt.Errorf("lotrun: orchestrator needs an engine")
-	}
-	if err := o.Engine.Validate(); err != nil {
-		return nil, err
-	}
-	if len(lot) == 0 {
-		return nil, fmt.Errorf("lotrun: empty lot")
-	}
-	if faults != nil {
-		if err := faults.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	opt := o.Opt
-	if err := opt.defaults(); err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	faultP := 0.0
-	if faults != nil {
-		faultP = faults.TotalP()
-	}
-	rep := &Report{}
-	results := make([]*floor.DeviceResult, len(lot))
-
-	// Journal setup: fresh on Run, replay + append on Resume.
-	var jr *Journal
-	if resume {
-		if opt.JournalPath == "" {
-			return nil, fmt.Errorf("lotrun: resume needs Options.JournalPath")
-		}
-		hdr, done, validEnd, stats, err := ReplayJournalFS(opt.FS, opt.JournalPath)
-		if err != nil {
-			return nil, err
-		}
-		if hdr.LotSeed != lotSeed || hdr.Devices != len(lot) || hdr.FaultP != faultP {
-			return nil, fmt.Errorf("lotrun: journal is for a different lot (seed %d devices %d faultp %g; resuming seed %d devices %d faultp %g)",
-				hdr.LotSeed, hdr.Devices, hdr.FaultP, lotSeed, len(lot), faultP)
-		}
-		if hdr.ModelVersion != opt.ModelVersion {
-			return nil, fmt.Errorf("%w: journal pinned to model version %d, resuming with %d",
-				ErrModelMismatch, hdr.ModelVersion, opt.ModelVersion)
-		}
-		if hdr.Fingerprint != 0 && hdr.Fingerprint != o.Engine.Fingerprint() {
-			return nil, fmt.Errorf("%w: journal was written by a differently calibrated engine (fingerprint %x, resuming %x)",
-				ErrModelMismatch, hdr.Fingerprint, o.Engine.Fingerprint())
-		}
-		for i, res := range done {
-			res := res
-			results[i] = &res
-		}
-		rep.Replayed = stats.Records
-		rep.Replay = stats
-		if jr, err = ResumeJournalFS(opt.FS, opt.JournalPath, validEnd); err != nil {
-			return nil, err
-		}
-	} else if opt.JournalPath != "" {
-		var err error
-		jr, err = CreateJournalFS(opt.FS, opt.JournalPath, JournalHeader{
-			Type: "header", Version: JournalVersion,
-			LotSeed: lotSeed, Devices: len(lot), FaultP: faultP,
-			Fingerprint:  o.Engine.Fingerprint(),
-			ModelVersion: opt.ModelVersion,
-		})
-		if err != nil {
-			// A journal that cannot even be created is the same storage
-			// fault as one dying mid-lot: screen the lot journal-less in
-			// degraded mode rather than refuse it.
-			logf(opt.Logf, "lotrun: journal create failed, running journal-less: %v", err)
-			rep.JournalDegraded = true
-			rep.JournalErr = err.Error()
-			jr = nil
-		}
-	}
-	hadJournal := jr != nil
-	defer func() {
-		if jr != nil {
-			jr.Close()
-		}
-	}()
-
-	holder := &engineHolder{cur: o.Engine}
-	if o.Engine.Gate != nil && !opt.Watchdog.Disabled {
-		holder.wd = NewWatchdog(o.Engine.Gate, opt.Watchdog)
-	}
-
-	var pending []int
-	for i := range lot {
-		if results[i] == nil {
-			pending = append(pending, i)
-		}
-	}
-
-	sites := make([]*siteState, opt.Sites)
-	for s := range sites {
-		sites[s] = &siteState{br: NewBreaker(opt.Breaker)}
-	}
-
-	if len(pending) > 0 {
-		queue := make(chan int)
-		out := make(chan floor.DeviceResult, opt.Sites)
-		runCtx, cancel := context.WithCancel(ctx)
-		defer cancel()
-
-		go func() {
-			defer close(queue)
-			for _, i := range pending {
-				select {
-				case queue <- i:
-				case <-runCtx.Done():
-					return
-				}
-			}
-		}()
-
-		var wg sync.WaitGroup
-		for s := 0; s < opt.Sites; s++ {
-			wg.Add(1)
-			go o.worker(runCtx, s, opt.Batch, sites[s], holder, lotSeed, lot, faults, queue, out, &wg)
-		}
-		go func() {
-			wg.Wait()
-			close(out)
-		}()
-
-		// Collector: the single goroutine that commits results, feeds the
-		// watchdog and applies recalibrations.
-		for res := range out {
-			res := res
-			if jr != nil {
-				if err := jr.CommitRetry(res, opt.JournalRetry); err != nil {
-					// Persistent journal failure: the crash-resume contract
-					// is gone, but the lot's bins are still a pure function
-					// of (seed, index). Degrade to journal-less mode and
-					// finish the lot instead of aborting it.
-					jr.Close()
-					jr = nil
-					rep.JournalDegraded = true
-					rep.JournalErr = err.Error()
-					logf(opt.Logf, "lotrun: journal degraded, continuing journal-less: %v", err)
-				}
-			}
-			results[res.Index] = &res
-			if wd := holder.watchdog(); wd != nil && res.CleanD >= 0 {
-				if alarm := wd.Observe(res.Index, res.CleanD); alarm != nil {
-					rep.Alarms = append(rep.Alarms, *alarm)
-					if opt.OnDrift != nil {
-						opt.OnDrift(*alarm)
-					}
-					if opt.Recalibrate != nil {
-						if cal, gate, err := opt.Recalibrate(*alarm); err == nil && cal != nil {
-							if opt.Registry != nil {
-								// Registry mode: the retrained model becomes a
-								// staged candidate for shadow evaluation; this
-								// lot keeps its pinned version, so bins stay a
-								// pure function of (seed, index, version).
-								g := gate
-								if g == nil {
-									g = holder.engine().Gate
-								}
-								if v, serr := stageCandidate(opt.Registry, holder.engine(), cal, g, *alarm); serr != nil {
-									logf(opt.Logf, "lotrun: drift recalibration not staged: %v", serr)
-								} else {
-									rep.StagedVersions = append(rep.StagedVersions, v)
-									rep.Recalibrations++
-									logf(opt.Logf, "lotrun: drift alarm at device %d staged candidate model v%d", alarm.Device, v)
-								}
-							} else {
-								next := *holder.engine()
-								next.Cal = cal
-								if gate != nil {
-									next.Gate = gate
-								}
-								var nwd *Watchdog
-								if next.Gate != nil {
-									nwd = NewWatchdog(next.Gate, opt.Watchdog)
-								}
-								holder.swap(&next, nwd)
-								rep.Recalibrations++
-							}
-						}
-					}
-				}
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			committed := 0
-			for _, r := range results {
-				if r != nil {
-					committed++
-				}
-			}
-			return nil, fmt.Errorf("lotrun: lot interrupted with %d of %d devices committed: %w",
-				committed, len(lot), err)
-		}
-	}
-
-	for i, r := range results {
-		if r == nil {
-			return nil, fmt.Errorf("lotrun: device %d was never screened", i)
-		}
-	}
-
-	// Fold in index order: the report is identical no matter which site
-	// produced each result or in what order they completed.
-	lotRep := o.Engine.NewReport(len(lot))
-	for _, r := range results {
-		lotRep.Fold(*r)
-	}
-	if hadJournal {
-		lotRep.Load.JournalS = float64(len(lot)) * opt.JournalSyncS
-	}
-	lotRep.JournalDegraded = rep.JournalDegraded
-	lotRep.JournalErr = rep.JournalErr
-	for s, st := range sites {
-		lotRep.Load.QuarantineS += st.br.quarantineS
-		rep.Sites = append(rep.Sites, SiteStats{
-			Site: s, Devices: st.devices, Insertions: st.insertions,
-			Trips: st.br.trips, QuarantineS: st.br.quarantineS,
-		})
-		rep.Trips = append(rep.Trips, st.br.events...)
-	}
-	sort.Slice(rep.Trips, func(i, j int) bool { return rep.Trips[i].AfterDevice < rep.Trips[j].AfterDevice })
-	if err := o.Engine.Finish(lotRep); err != nil {
-		return nil, err
-	}
-	rep.Lot = lotRep
-	return rep, nil
-}
-
-// stageCandidate wraps a retrained calibration into an artifact on the
-// current engine and enqueues it as a registry candidate.
-func stageCandidate(reg *modelreg.Registry, eng *floor.Engine, cal *core.Calibration, gate *floor.Gate, alarm DriftAlarm) (int, error) {
-	note := fmt.Sprintf("drift alarm (%s) at device %d: ewma %.2f cusum %.2f over %d samples",
-		alarm.Detector, alarm.Device, alarm.EWMA, alarm.CUSUM, alarm.Samples)
-	art, err := modelreg.NewArtifact(eng, cal, gate, note)
-	if err != nil {
-		return 0, err
-	}
-	return reg.Stage(art)
-}
-
-func logf(f func(string, ...any), format string, args ...any) {
-	if f != nil {
-		f(format, args...)
-	}
-}
-
-// worker is one tester site: it pulls device indices from the shared
-// queue, screens them under supervision, and runs its circuit breaker.
-// While the breaker holds the site in quarantine the shared queue drains
-// to the healthy sites. With kBatch > 1 the site greedily takes up to
-// kBatch queued devices per engine call and screens them through the
-// batched kernel — bins stay bit-identical, only the kernel amortization
-// changes.
-func (o *Orchestrator) worker(ctx context.Context, site, kBatch int, st *siteState, holder *engineHolder,
-	lotSeed int64, lot []*core.Device, faults *floor.FaultModel,
-	queue <-chan int, out chan<- floor.DeviceResult, wg *sync.WaitGroup) {
-	defer wg.Done()
-	idxs := make([]int, 0, kBatch)
-	for {
-		idx, ok := <-queue
-		if !ok {
-			return
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		if st.br.state == stateOpen {
-			q := st.br.BeginProbe()
-			if scale := o.Opt.QuarantineSleepScale; scale > 0 && q > 0 {
-				select {
-				case <-time.After(time.Duration(q * scale * float64(time.Second))):
-				case <-ctx.Done():
-					return
-				}
-			}
-		}
-		idxs = append(idxs[:0], idx)
-	fill:
-		for len(idxs) < kBatch {
-			select {
-			case next, more := <-queue:
-				if !more {
-					break fill
-				}
-				idxs = append(idxs, next)
-			default:
-				break fill
-			}
-		}
-		var results []floor.DeviceResult
-		if len(idxs) == 1 {
-			results = []floor.DeviceResult{o.screenSupervised(ctx, site, idxs[0], lot[idxs[0]], lotSeed, faults, holder)}
-		} else {
-			results = o.screenBatchSupervised(ctx, site, idxs, lot, lotSeed, faults, holder)
-		}
-		truncated := false
-		for _, res := range results {
-			if res.Err != "" && ctx.Err() != nil {
-				// The lot was cancelled while this device was on the tester:
-				// its result is a truncation, not an outcome. Drop it so it
-				// is never journaled; Resume re-screens it from the same
-				// per-device seed.
-				truncated = true
-				continue
-			}
-			st.devices++
-			st.insertions += res.Insertions
-			st.br.Record(res)
-			select {
-			case out <- res:
-			case <-ctx.Done():
-				return
-			}
-		}
-		if truncated {
-			return
-		}
-	}
-}
-
-// screenSupervised runs one device with the full supervision wrapping:
-// per-device deadline, test hook, and a recover() that converts any panic
-// escaping the screening path into a fallback-binned device.
-func (o *Orchestrator) screenSupervised(ctx context.Context, site, idx int, d *core.Device,
-	lotSeed int64, faults *floor.FaultModel, holder *engineHolder) (res floor.DeviceResult) {
-	eng := holder.engine()
-	res = floor.DeviceResult{Index: idx, CleanD: -1, Site: site, TruePass: eng.TruePass(d.Specs)}
-	defer func() {
-		if r := recover(); r != nil {
-			res.Bin = floor.BinFallback
-			res.Err = fmt.Sprintf("panic: %v", r)
-			if res.Insertions == 0 {
-				res.Insertions = 1
-			}
-		}
-	}()
-	dctx := ctx
-	if o.Opt.DeviceTimeout > 0 {
-		var cancel context.CancelFunc
-		dctx, cancel = context.WithTimeout(ctx, o.Opt.DeviceTimeout)
-		defer cancel()
-	}
-	if o.Opt.Hook != nil {
-		o.Opt.Hook(site, idx)
-	}
-	r := eng.ScreenDevice(dctx, idx, d, core.DeviceSeed(lotSeed, idx), faults)
-	r.Site = site
-	res = r
-	return res
-}
-
-// screenBatchSupervised screens a batch of devices through the engine's
-// batched kernel with the same supervision contract as screenSupervised:
-// the per-device hook runs inside a per-device supervised region (a hook
-// panic fallback-bins that device and the rest of the batch still
-// screens), and the context deadline scales with the batch size so a
-// batch's per-device wall budget matches the serial path's.
-func (o *Orchestrator) screenBatchSupervised(ctx context.Context, site int, idxs []int, lot []*core.Device,
-	lotSeed int64, faults *floor.FaultModel, holder *engineHolder) []floor.DeviceResult {
-	eng := holder.engine()
-	dctx := ctx
-	if o.Opt.DeviceTimeout > 0 {
-		var cancel context.CancelFunc
-		dctx, cancel = context.WithTimeout(ctx, time.Duration(len(idxs))*o.Opt.DeviceTimeout)
-		defer cancel()
-	}
-
-	results := make([]floor.DeviceResult, len(idxs))
-	batch := make([]floor.BatchDevice, 0, len(idxs))
-	screened := make([]int, 0, len(idxs)) // position in results per batch entry
-	for i, idx := range idxs {
-		hookOK := func() (ok bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					// Keep TruePass if it was already computed; the rest of
-					// the result mirrors the serial hook-panic outcome.
-					results[i].Index = idx
-					results[i].CleanD = -1
-					results[i].Site = site
-					results[i].Bin = floor.BinFallback
-					results[i].Insertions = 1
-					results[i].Err = fmt.Sprintf("panic: %v", r)
-				}
-			}()
-			results[i].TruePass = eng.TruePass(lot[idx].Specs)
-			if o.Opt.Hook != nil {
-				o.Opt.Hook(site, idx)
-			}
-			return true
-		}()
-		if !hookOK {
-			continue
-		}
-		batch = append(batch, floor.BatchDevice{Index: idx, Device: lot[idx], Seed: core.DeviceSeed(lotSeed, idx)})
-		screened = append(screened, i)
-	}
-	for bi, res := range eng.ScreenBatch(dctx, batch, faults) {
-		res.Site = site
-		results[screened[bi]] = res
-	}
-	return results
-}

@@ -1,9 +1,15 @@
-package lotrun
+package lotrun_test
+
+// The lot-level behaviours of the supervision primitives, checked on the
+// run loop that composes them: a one-lot lotserver.Server, the way
+// sigtest -sites/-journal and examples/production screen a single lot.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -12,9 +18,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ate"
 	"repro/internal/core"
 	"repro/internal/floor"
 	"repro/internal/lna"
+	"repro/internal/lotrun"
+	"repro/internal/lotserver"
+	"repro/internal/modelreg"
 	"repro/internal/wave"
 )
 
@@ -100,29 +110,84 @@ func testLot(t *testing.T, f *fixture, n int) []*core.Device {
 	return lot
 }
 
+// breakAt returns a copy of the lot whose devices at idxs have no
+// behavioral model: screening them panics inside the rf hot path.
+func breakAt(lot []*core.Device, idxs ...int) []*core.Device {
+	out := append([]*core.Device(nil), lot...)
+	for _, i := range idxs {
+		broken := *out[i]
+		broken.Behavioral = nil
+		out[i] = &broken
+	}
+	return out
+}
+
 // quietBreaker never trips, so lot economics carry no scheduling-dependent
 // quarantine charge — used by the determinism tests.
-func quietBreaker() BreakerConfig { return BreakerConfig{TripConsecutive: 1 << 20} }
+func quietBreaker() lotrun.BreakerConfig { return lotrun.BreakerConfig{TripConsecutive: 1 << 20} }
 
-// stripSites zeroes the per-result Site field — the only LotReport content
-// that legitimately depends on worker scheduling.
-func stripSites(rep *floor.LotReport) {
-	for i := range rep.Results {
-		rep.Results[i].Site = 0
+// oneLot is the base server configuration for a single-lot floor: the lot
+// is the server's whole device pool.
+func oneLot(eng *floor.Engine, lot []*core.Device, faults *floor.FaultModel, workers int) lotserver.Options {
+	return lotserver.Options{
+		Engine: eng, Pool: lot, Faults: faults,
+		LocalWorkers: workers, Breaker: quietBreaker(),
 	}
 }
 
+func spec(seed int64, lot []*core.Device) lotserver.LotSpec {
+	return lotserver.LotSpec{ID: "lot", Seed: seed, Devices: len(lot)}
+}
+
+// serve screens one lot on a fresh server and stops the server once the
+// lot ends — a process that starts, runs its lot and exits. Cancelling
+// ctx aborts the lot; its journal keeps the committed devices.
+func serve(t *testing.T, ctx context.Context, opt lotserver.Options, sp lotserver.LotSpec) (*lotserver.LotResult, error) {
+	t.Helper()
+	s, err := lotserver.New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Kill()
+	h, err := s.Submit(ctx, sp)
+	if err != nil {
+		return nil, err
+	}
+	return h.Wait(context.Background())
+}
+
+func mustServe(t *testing.T, opt lotserver.Options, sp lotserver.LotSpec) *lotserver.LotResult {
+	t.Helper()
+	res, err := serve(t, context.Background(), opt, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// reportsEqual compares two lot reports modulo what legitimately depends
+// on the floor: Site ordinals and the modeled journal/network/quarantine
+// charges (with the Time comparison derived from them).
 func reportsEqual(t *testing.T, label string, a, b *floor.LotReport) {
 	t.Helper()
-	stripSites(a)
-	stripSites(b)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("%s: lot reports diverge:\n%v\nvs\n%v", label, a, b)
+	strip := func(r *floor.LotReport) floor.LotReport {
+		c := *r
+		c.Results = append([]floor.DeviceResult(nil), r.Results...)
+		for i := range c.Results {
+			c.Results[i].Site = 0
+		}
+		c.Load.NetworkS, c.Load.QuarantineS, c.Load.JournalS = 0, 0, 0
+		c.Time = ate.TimeComparison{}
+		return c
+	}
+	ca, cb := strip(a), strip(b)
+	if !reflect.DeepEqual(ca, cb) {
+		t.Fatalf("%s: lot reports diverge:\n%v\nvs\n%v", label, &ca, &cb)
 	}
 }
 
 // TestSerialVsConcurrentByteIdentical is the reproducibility acceptance:
-// screening the same seeded lot serially, serially again, and across 4
+// screening the same seeded lot serially, serially again, and on 1 and 4
 // concurrent sites yields byte-identical LotReports (modulo the Site tag),
 // because every device's RNG stream derives from (lot seed, index) alone.
 func TestSerialVsConcurrentByteIdentical(t *testing.T) {
@@ -142,78 +207,221 @@ func TestSerialVsConcurrentByteIdentical(t *testing.T) {
 	reportsEqual(t, "serial rerun", serial, again)
 
 	for _, sites := range []int{1, 4} {
-		o := &Orchestrator{Engine: f.engine(), Opt: Options{Sites: sites, Breaker: quietBreaker()}}
-		rep, err := o.Run(context.Background(), seed, lot, faults)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reportsEqual(t, fmt.Sprintf("%d-site orchestrator", sites), serial, rep.Lot)
+		res := mustServe(t, oneLot(f.engine(), lot, faults, sites), spec(seed, lot))
+		reportsEqual(t, fmt.Sprintf("%d-site server", sites), serial, res.Report)
 	}
 }
 
-// TestKillAndResume is the crash-recovery acceptance: a run killed mid-lot
-// (context cancellation — SIGKILL-equivalent for the journal, which only
-// contains fsync'd committed records) followed by Resume produces the same
-// final LotReport as an uninterrupted run with the same seed.
+// TestBatchedOrchestratorByteIdentical extends the reproducibility
+// acceptance to the batched kernel: screening the same seeded lot with
+// batched sites (K devices per engine call) yields the same LotReport
+// (modulo Site tags) as the serial engine, for every batch size and site
+// count combination — batching amortizes compute, never semantics.
+func TestBatchedOrchestratorByteIdentical(t *testing.T) {
+	f := getFixture(t)
+	lot := testLot(t, f, 80)
+	faults := floor.DefaultFaultModel(0.15)
+	const seed = 99
+
+	serial, err := f.engine().RunLot(seed, lot, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []struct{ sites, batch int }{{1, 3}, {1, 16}, {2, 8}, {4, 64}} {
+		opt := oneLot(f.engine(), lot, faults, cfg.sites)
+		opt.Batch = cfg.batch
+		res := mustServe(t, opt, spec(seed, lot))
+		reportsEqual(t, fmt.Sprintf("%d-site batch-%d server", cfg.sites, cfg.batch), serial, res.Report)
+	}
+}
+
+// TestKillAndResume is the crash-recovery acceptance: a lot cut off
+// mid-run (its submission cancelled from inside a worker's hook — the
+// journal only holds fsync'd committed records) and resubmitted to a
+// fresh server on the same journal directory produces the same final
+// LotReport as an uninterrupted run with the same seed.
 func TestKillAndResume(t *testing.T) {
 	f := getFixture(t)
 	lot := testLot(t, f, 60)
 	faults := floor.DefaultFaultModel(0.15)
 	const seed = 7
-	dir := t.TempDir()
 
-	refPath := filepath.Join(dir, "ref.journal")
-	ref, err := (&Orchestrator{Engine: f.engine(),
-		Opt: Options{Sites: 3, JournalPath: refPath, Breaker: quietBreaker()}}).
-		Run(context.Background(), seed, lot, faults)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refOpt := oneLot(f.engine(), lot, faults, 3)
+	refOpt.JournalDir = t.TempDir()
+	ref := mustServe(t, refOpt, spec(seed, lot))
 
 	// Kill: cancel after 20 devices have started screening.
-	killPath := filepath.Join(dir, "kill.journal")
+	opt := oneLot(f.engine(), lot, faults, 3)
+	opt.JournalDir = t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var started atomic.Int64
-	o := &Orchestrator{Engine: f.engine(), Opt: Options{
-		Sites: 3, JournalPath: killPath, Breaker: quietBreaker(),
-		Hook: func(site, device int) {
-			if started.Add(1) == 20 {
-				cancel()
-			}
-		},
-	}}
-	if _, err := o.Run(ctx, seed, lot, faults); err == nil {
-		t.Fatal("killed run must report interruption")
+	killOpt := opt
+	killOpt.Hook = func(_ string, _ int) {
+		if started.Add(1) == 20 {
+			cancel()
+		}
+	}
+	if _, err := serve(t, ctx, killOpt, spec(seed, lot)); !errors.Is(err, lotserver.ErrAborted) {
+		t.Fatalf("killed lot: err=%v, want ErrAborted", err)
 	}
 
-	// Resume with a fresh orchestrator (new process equivalent).
-	o2 := &Orchestrator{Engine: f.engine(),
-		Opt: Options{Sites: 3, JournalPath: killPath, Breaker: quietBreaker()}}
-	rep, err := o2.Resume(context.Background(), seed, lot, faults)
-	if err != nil {
-		t.Fatal(err)
+	// Resume on a fresh server (new process equivalent).
+	res := mustServe(t, opt, spec(seed, lot))
+	if res.Replayed == 0 || res.Replayed >= len(lot) {
+		t.Fatalf("resume replayed %d of %d devices; want partial progress", res.Replayed, len(lot))
 	}
-	if rep.Replayed == 0 || rep.Replayed >= len(lot) {
-		t.Fatalf("resume replayed %d of %d devices; want partial progress", rep.Replayed, len(lot))
-	}
-	reportsEqual(t, "kill-and-resume", ref.Lot, rep.Lot)
+	reportsEqual(t, "kill-and-resume", ref.Report, res.Report)
 
 	// Idempotence: resuming the now-complete journal replays everything
 	// and screens nothing.
-	rep2, err := o2.Resume(context.Background(), seed, lot, faults)
+	res2 := mustServe(t, opt, spec(seed, lot))
+	if res2.Replayed != len(lot) {
+		t.Fatalf("complete journal replayed %d of %d", res2.Replayed, len(lot))
+	}
+	reportsEqual(t, "resume of complete journal", ref.Report, res2.Report)
+}
+
+// TestResumeAfterJournalCorruption: end-to-end — run a lot to completion,
+// corrupt the journal (garbage + torn tail), and resubmit: the corrupted
+// records are re-screened and the final report matches the uncorrupted
+// run exactly.
+func TestResumeAfterJournalCorruption(t *testing.T) {
+	f := getFixture(t)
+	lot := testLot(t, f, 30)
+	faults := floor.DefaultFaultModel(0.12)
+	const seed = 77
+
+	opt := oneLot(f.engine(), lot, faults, 2)
+	opt.JournalDir = t.TempDir()
+	ref := mustServe(t, opt, spec(seed, lot))
+
+	path := filepath.Join(opt.JournalDir, "lot.journal")
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Replayed != len(lot) {
-		t.Fatalf("complete journal replayed %d of %d", rep2.Replayed, len(lot))
+	// Tear the tail and scribble garbage over it.
+	torn := append(append([]byte{}, data[:len(data)-25]...), []byte("\xde\xad{torn")...)
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	reportsEqual(t, "resume of complete journal", ref.Lot, rep2.Lot)
+
+	res := mustServe(t, opt, spec(seed, lot))
+	if res.Replay.Corrupt == 0 {
+		t.Fatal("corruption not detected")
+	}
+	if res.Replayed >= len(lot) {
+		t.Fatalf("replayed %d of %d despite a torn tail", res.Replayed, len(lot))
+	}
+	if res.Report.Binned() != len(lot) {
+		t.Fatalf("%d of %d binned after corrupted resume", res.Report.Binned(), len(lot))
+	}
+	reportsEqual(t, "resume after corruption", ref.Report, res.Report)
 }
 
-// TestPanicCostsOneDevice: a worker panic injected via the fault hook is
-// recovered into a fallback-binned device; the lot completes and no other
-// device is affected.
+// TestResumeRejectsWrongLot: the journal header pins (seed, lot size,
+// fault load); resubmitting anything else under the same lot ID must be
+// refused.
+func TestResumeRejectsWrongLot(t *testing.T) {
+	f := getFixture(t)
+	lot := testLot(t, f, 8)
+	opt := oneLot(f.engine(), lot, nil, 1)
+	opt.JournalDir = t.TempDir()
+	mustServe(t, opt, spec(42, lot))
+
+	if _, err := serve(t, context.Background(), opt, spec(43, lot)); err == nil {
+		t.Fatal("wrong seed must be refused")
+	}
+	if _, err := serve(t, context.Background(), opt, spec(42, lot[:6])); err == nil {
+		t.Fatal("wrong lot size must be refused")
+	}
+	faulty := opt
+	faulty.Faults = floor.DefaultFaultModel(0.1)
+	if _, err := serve(t, context.Background(), faulty, spec(42, lot)); err == nil {
+		t.Fatal("wrong fault load must be refused")
+	}
+}
+
+// TestJournalModelVersionPinned: the journal header pins the lot to its
+// calibration version; a server that cannot rebuild that version, or
+// rebuilds it to a different engine, refuses the resume with the typed
+// ErrModelMismatch (an upgrade problem, not a retryable one), and a
+// server holding the right version completes the lot bit-identically.
+func TestJournalModelVersionPinned(t *testing.T) {
+	f := getFixture(t)
+	lot := testLot(t, f, 30)
+	const seed = 41
+
+	stageActive := func(gate *floor.Gate) (*modelreg.Registry, *floor.Engine) {
+		reg, err := modelreg.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := modelreg.NewArtifact(f.engine(), f.cal, gate, "pinned")
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := reg.Stage(art)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.SetActive(v); err != nil {
+			t.Fatal(err)
+		}
+		eng, err := art.Engine(f.engine())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg, eng
+	}
+	reg, pinned := stageActive(f.gate)
+	ref, err := pinned.RunLot(seed, lot, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Interrupt the lot partway so there is something to resume.
+	opt := oneLot(f.engine(), lot, nil, 2)
+	opt.JournalDir = t.TempDir()
+	opt.Registry = reg
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	killOpt := opt
+	killOpt.Hook = func(_ string, device int) {
+		if device == 15 {
+			cancel()
+		}
+	}
+	if _, err := serve(t, ctx, killOpt, spec(seed, lot)); err == nil {
+		t.Fatal("interrupted lot reported success")
+	}
+
+	noReg := opt
+	noReg.Registry = nil
+	if _, err := serve(t, context.Background(), noReg, spec(seed, lot)); !errors.Is(err, lotrun.ErrModelMismatch) {
+		t.Fatalf("resume without the pinned version: err=%v, want ErrModelMismatch", err)
+	}
+	drifted := *f.gate
+	drifted.TrainMeanD += f.gate.TrainSigmaD
+	otherReg, _ := stageActive(&drifted)
+	other := opt
+	other.Registry = otherReg
+	if _, err := serve(t, context.Background(), other, spec(seed, lot)); !errors.Is(err, lotrun.ErrModelMismatch) {
+		t.Fatalf("resume under a differently calibrated version: err=%v, want ErrModelMismatch", err)
+	}
+
+	res := mustServe(t, opt, spec(seed, lot))
+	if res.Replayed == 0 {
+		t.Fatal("resume replayed nothing")
+	}
+	reportsEqual(t, "version-pinned resume", ref, res.Report)
+}
+
+// TestPanicCostsOneDevice: a panic inside one device's screening (a
+// device with no behavioral model, dereferenced on the load board) is
+// recovered into a fallback-binned device; the lot completes on four
+// sites and no other device is affected.
 func TestPanicCostsOneDevice(t *testing.T) {
 	f := getFixture(t)
 	lot := testLot(t, f, 40)
@@ -224,35 +432,21 @@ func TestPanicCostsOneDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := &Orchestrator{Engine: f.engine(), Opt: Options{
-		Sites: 4, Breaker: quietBreaker(),
-		Hook: func(site, device int) {
-			if device == victim {
-				panic("injected contactor firmware fault")
-			}
-		},
-	}}
-	rep, err := o.Run(context.Background(), seed, lot, nil)
-	if err != nil {
-		t.Fatal(err)
+	broken := breakAt(lot, victim)
+	res := mustServe(t, oneLot(f.engine(), broken, nil, 4), spec(seed, broken))
+	rep := res.Report
+	if rep.Binned() != len(lot) {
+		t.Fatalf("%d of %d devices binned after panic", rep.Binned(), len(lot))
 	}
-	if rep.Lot.Binned() != len(lot) {
-		t.Fatalf("%d of %d devices binned after panic", rep.Lot.Binned(), len(lot))
-	}
-	var got floor.DeviceResult
-	for _, r := range rep.Lot.Results {
-		if r.Index == victim {
-			got = r
-		}
-	}
-	if got.Bin != floor.BinFallback || !strings.Contains(got.Err, "injected contactor firmware fault") {
+	got := rep.Results[victim]
+	if got.Bin != floor.BinFallback || !strings.Contains(got.Err, "panic") {
 		t.Fatalf("panicked device result: bin %v err %q; want fallback with structured panic", got.Bin, got.Err)
 	}
-	if rep.Lot.SupervisionErrs != 1 {
-		t.Fatalf("supervision errors %d, want 1", rep.Lot.SupervisionErrs)
+	if rep.SupervisionErrs != 1 {
+		t.Fatalf("supervision errors %d, want 1", rep.SupervisionErrs)
 	}
 	// Every other device matches the panic-free reference exactly.
-	for _, r := range rep.Lot.Results {
+	for _, r := range rep.Results {
 		if r.Index == victim {
 			continue
 		}
@@ -264,15 +458,35 @@ func TestPanicCostsOneDevice(t *testing.T) {
 	}
 }
 
+// TestBatchedPanicCostsOneDevice: a panic on one device inside a batched
+// site's kernel call fallback-bins only that device; the rest of the
+// batch screens normally.
+func TestBatchedPanicCostsOneDevice(t *testing.T) {
+	f := getFixture(t)
+	const victim = 9
+	lot := breakAt(testLot(t, f, 24), victim)
+	opt := oneLot(f.engine(), lot, nil, 1)
+	opt.Batch = 8
+	res := mustServe(t, opt, spec(5, lot))
+	for _, r := range res.Report.Results {
+		if r.Index == victim {
+			if r.Bin != floor.BinFallback || !strings.Contains(r.Err, "panic") {
+				t.Fatalf("victim device: bin %v err %q, want fallback with the panic", r.Bin, r.Err)
+			}
+			continue
+		}
+		if r.Err != "" {
+			t.Fatalf("device %d collateral error: %q", r.Index, r.Err)
+		}
+	}
+}
+
 // TestEnginePanicRecovery: a panic from inside the rf hot path (nil
 // behavioral model dereferenced by the load board) is recovered by
 // ScreenDevice itself, so even the serial floor never loses a lot.
 func TestEnginePanicRecovery(t *testing.T) {
 	f := getFixture(t)
-	lot := testLot(t, f, 10)
-	broken := *lot[4]
-	broken.Behavioral = nil
-	lot[4] = &broken
+	lot := breakAt(testLot(t, f, 10), 4)
 
 	rep, err := f.engine().RunLot(3, lot, nil)
 	if err != nil {
@@ -295,19 +509,14 @@ func TestEnginePanicRecovery(t *testing.T) {
 func TestDeviceDeadline(t *testing.T) {
 	f := getFixture(t)
 	lot := testLot(t, f, 30)
-	faults := floor.DefaultFaultModel(0.5)
-	o := &Orchestrator{Engine: f.engine(), Opt: Options{
-		Sites: 2, Breaker: quietBreaker(), DeviceTimeout: time.Nanosecond,
-	}}
-	rep, err := o.Run(context.Background(), 12, lot, faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Lot.Binned() != len(lot) {
-		t.Fatalf("%d of %d binned", rep.Lot.Binned(), len(lot))
+	opt := oneLot(f.engine(), lot, floor.DefaultFaultModel(0.5), 2)
+	opt.DeviceTimeout = time.Nanosecond
+	rep := mustServe(t, opt, spec(12, lot)).Report
+	if rep.Binned() != len(lot) {
+		t.Fatalf("%d of %d binned", rep.Binned(), len(lot))
 	}
 	deadlined := 0
-	for _, r := range rep.Lot.Results {
+	for _, r := range rep.Results {
 		if r.Insertions != 1 {
 			t.Fatalf("device %d got %d insertions under a 1 ns deadline", r.Index, r.Insertions)
 		}
@@ -330,23 +539,21 @@ func TestBreakerQuarantinesFailingSite(t *testing.T) {
 	f := getFixture(t)
 	lot := testLot(t, f, 24)
 	allOpen := &floor.FaultModel{P: map[floor.FaultKind]float64{floor.FaultContactorOpen: 1}}
-	cfg := BreakerConfig{TripConsecutive: 3, ProbeBackoffS: 2, BackoffFactor: 2, MaxBackoffS: 16}
-	o := &Orchestrator{Engine: f.engine(), Opt: Options{Sites: 2, Breaker: cfg}}
-	rep, err := o.Run(context.Background(), 8, lot, allOpen)
-	if err != nil {
-		t.Fatal(err)
+	cfg := lotrun.BreakerConfig{TripConsecutive: 3, ProbeBackoffS: 2, BackoffFactor: 2, MaxBackoffS: 16}
+	opt := oneLot(f.engine(), lot, allOpen, 2)
+	opt.Breaker = cfg
+	res := mustServe(t, opt, spec(8, lot))
+	if res.Report.Fallback != len(lot) {
+		t.Fatalf("all-open lot binned %d fallbacks of %d", res.Report.Fallback, len(lot))
 	}
-	if rep.Lot.Fallback != len(lot) {
-		t.Fatalf("all-open lot binned %d fallbacks of %d", rep.Lot.Fallback, len(lot))
+	if len(res.Trips) < 2 {
+		t.Fatalf("breakers tripped %d times on an all-failing floor", len(res.Trips))
 	}
-	if len(rep.Trips) < 2 {
-		t.Fatalf("breakers tripped %d times on an all-failing floor", len(rep.Trips))
-	}
-	if rep.Lot.Load.QuarantineS <= 0 {
+	if res.Report.Load.QuarantineS <= 0 {
 		t.Fatal("quarantine time not charged to the lot economics")
 	}
 	grew := false
-	for _, tr := range rep.Trips {
+	for _, tr := range res.Trips {
 		if tr.QuarantineS > cfg.ProbeBackoffS {
 			grew = true
 		}
@@ -357,251 +564,198 @@ func TestBreakerQuarantinesFailingSite(t *testing.T) {
 	if !grew {
 		t.Fatal("failed half-open probes must grow the backoff")
 	}
-	total := 0.0
-	for _, s := range rep.Sites {
-		total += s.QuarantineS
-	}
-	if total != rep.Lot.Load.QuarantineS {
-		t.Fatalf("site quarantine %g != charged %g", total, rep.Lot.Load.QuarantineS)
-	}
-	if s := rep.String(); !strings.Contains(s, "trips") {
-		t.Fatalf("report rendering lost the breaker story: %q", s)
-	}
 }
 
-// TestBreakerStateMachine unit-tests the closed -> open -> half-open
-// transitions directly.
-func TestBreakerStateMachine(t *testing.T) {
-	br := NewBreaker(BreakerConfig{TripConsecutive: 2, ProbeBackoffS: 1, BackoffFactor: 2, MaxBackoffS: 4})
-	gated := floor.DeviceResult{Verdicts: []floor.Verdict{floor.VerdictInvalid, floor.VerdictInvalid}}
-	clean := floor.DeviceResult{Verdicts: []floor.Verdict{floor.VerdictClean}}
-
-	if br.Record(clean); br.state != stateClosed {
-		t.Fatalf("clean outcome moved state to %v", br.state)
-	}
-	if !br.Record(gated) || br.state != stateOpen {
-		t.Fatalf("2 consecutive gated verdicts must trip; state %v", br.state)
-	}
-	if q := br.BeginProbe(); q != 1 || br.state != stateHalfOpen {
-		t.Fatalf("first probe backoff %g state %v", q, br.state)
-	}
-	// Failed probe: re-open with doubled backoff.
-	if !br.Record(gated) || br.state != stateOpen {
-		t.Fatalf("failed probe must re-open; state %v", br.state)
-	}
-	if q := br.BeginProbe(); q != 2 {
-		t.Fatalf("second backoff %g, want 2", q)
-	}
-	// Successful probe closes and resets the backoff history.
-	if br.Record(clean); br.state != stateClosed || br.failedOpens != 0 {
-		t.Fatalf("clean probe must close; state %v failedOpens %d", br.state, br.failedOpens)
-	}
-	if br.trips != 2 {
-		t.Fatalf("trips %d, want 2", br.trips)
-	}
-	// Backoff saturates at the cap.
-	br.failedOpens = 10
-	if q := br.backoff(); q != 4 {
-		t.Fatalf("backoff %g, want cap 4", q)
-	}
-}
-
-// TestWatchdogCharts unit-tests the EWMA/CUSUM change detectors on
-// synthetic standardized streams.
-func TestWatchdogCharts(t *testing.T) {
-	g := &floor.Gate{TrainMeanD: 1, TrainSigmaD: 0.5}
-	cfg := WatchdogConfig{Lambda: 0.2, EWMALimit: 3, CUSUMSlack: 0.5, CUSUMLimit: 8, MinSamples: 10}
-
-	// An in-control stream (distances at the training mean) never alarms.
-	w := NewWatchdog(g, cfg)
-	for i := 0; i < 500; i++ {
-		if a := w.Observe(i, 1.0); a != nil {
-			t.Fatalf("in-control stream alarmed at %d: %+v", i, a)
-		}
-	}
-
-	// A 2-sigma mean shift alarms, but not before the warm-up.
-	w = NewWatchdog(g, cfg)
-	var alarm *DriftAlarm
-	for i := 0; i < 100 && alarm == nil; i++ {
-		alarm = w.Observe(i, 2.0) // z = +2
-		if alarm != nil && alarm.Samples < cfg.MinSamples {
-			t.Fatalf("alarm before warm-up: %+v", alarm)
-		}
-	}
-	if alarm == nil {
-		t.Fatal("2-sigma shift never alarmed")
-	}
-	if len(w.Alarms()) != 1 {
-		t.Fatalf("alarms recorded: %d", len(w.Alarms()))
-	}
-	// The charts reset after an alarm and re-arm.
-	if w.n != 0 || w.ewma != 0 || w.cusum != 0 {
-		t.Fatal("charts must reset after an alarm")
-	}
-	for i := 0; i < 100; i++ {
-		w.Observe(100+i, 2.0)
-	}
-	if len(w.Alarms()) < 2 {
-		t.Fatal("watchdog did not re-arm after the first alarm")
-	}
-
-	// Disabled watchdog observes nothing.
-	w = NewWatchdog(g, WatchdogConfig{Disabled: true})
-	for i := 0; i < 200; i++ {
-		if a := w.Observe(i, 100); a != nil {
-			t.Fatal("disabled watchdog alarmed")
-		}
-	}
-}
-
-// TestDriftAlarmTriggersRecalibration: a watchdog whose baseline is shifted
-// far below the production distances (simulating a drifted process) raises
-// an alarm and auto-triggers the recalibration hook, which swaps the
-// regression map for the rest of the lot.
-func TestDriftAlarmTriggersRecalibration(t *testing.T) {
+// TestBreakerHalfOpenRecoveryConcurrent: with every early device
+// panicking on the tester, all four sites trip, fail their half-open
+// probes on more early devices, and finally close when the healthy tail of
+// the lot arrives. The lot must complete, the backoff growth must show
+// failed probes happened, and every post-recovery device must match the
+// panic-free reference bit for bit.
+func TestBreakerHalfOpenRecoveryConcurrent(t *testing.T) {
 	f := getFixture(t)
-	lot := testLot(t, f, 50)
+	lot := testLot(t, f, 48)
+	const seed = 17
+	const victims = 24 // devices [0, victims) panic on the tester
 
+	ref, err := f.engine().RunLot(seed, lot, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxs := make([]int, victims)
+	for i := range idxs {
+		idxs[i] = i
+	}
+	broken := breakAt(lot, idxs...)
+
+	cfg := lotrun.BreakerConfig{TripConsecutive: 2, ProbeBackoffS: 2, BackoffFactor: 2, MaxBackoffS: 16}
+	opt := oneLot(f.engine(), broken, nil, 4)
+	opt.Breaker = cfg
+	res := mustServe(t, opt, spec(seed, broken))
+	if res.Report.Binned() != len(lot) {
+		t.Fatalf("%d of %d binned after breaker recovery", res.Report.Binned(), len(lot))
+	}
+	if len(res.Trips) < 2 {
+		t.Fatalf("%d trips across a 24-device failure run; want the breakers exercised", len(res.Trips))
+	}
+	grew := false
+	for _, tr := range res.Trips {
+		if tr.QuarantineS > cfg.ProbeBackoffS {
+			grew = true
+		}
+	}
+	if !grew {
+		t.Fatal("no trip shows grown backoff: half-open probes never failed")
+	}
+	if res.Report.Load.QuarantineS <= 0 {
+		t.Fatal("quarantine time not charged to the lot economics")
+	}
+	for _, r := range res.Report.Results {
+		if r.Index < victims {
+			if r.Bin != floor.BinFallback || !strings.Contains(r.Err, "panic") {
+				t.Fatalf("victim %d: bin %v err %q", r.Index, r.Bin, r.Err)
+			}
+			continue
+		}
+		want := ref.Results[r.Index]
+		r.Site = 0
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("post-recovery device %d diverges from the panic-free reference:\n%+v\nvs\n%+v",
+				r.Index, r, want)
+		}
+	}
+}
+
+// driftedEngine is the fixture engine with its gate baseline shifted 20
+// training sigmas below the production distances — a drifted process.
+func driftedEngine(f *fixture) *floor.Engine {
 	drifted := *f.gate
 	drifted.TrainMeanD = f.gate.TrainMeanD - 20*f.gate.TrainSigmaD
 	eng := f.engine()
 	eng.Gate = &drifted
+	return eng
+}
 
-	var onDrift atomic.Int64
-	recal := 0
-	o := &Orchestrator{Engine: eng, Opt: Options{
-		Sites:    2,
-		Breaker:  quietBreaker(),
-		Watchdog: WatchdogConfig{MinSamples: 5},
-		OnDrift:  func(DriftAlarm) { onDrift.Add(1) },
-		Recalibrate: func(a DriftAlarm) (*core.Calibration, *floor.Gate, error) {
-			recal++
-			// "Retrain": hand back the healthy baseline gate and map.
-			return f.cal, f.gate, nil
-		},
-	}}
-	rep, err := o.Run(context.Background(), 31, lot, nil)
+// TestDriftAlarmTriggersRecalibration: a watchdog whose baseline is shifted
+// far below the production distances raises an alarm after its warm-up,
+// reports it through OnDrift and the lot result, and triggers the
+// recalibration hook — while every device of the lot is still binned.
+func TestDriftAlarmTriggersRecalibration(t *testing.T) {
+	f := getFixture(t)
+	lot := testLot(t, f, 50)
+	reg, err := modelreg.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Alarms) == 0 {
+
+	var onDrift, recal atomic.Int64
+	opt := oneLot(driftedEngine(f), lot, nil, 2)
+	opt.Watchdog = lotrun.WatchdogConfig{MinSamples: 5}
+	opt.Registry = reg
+	opt.OnDrift = func(string, lotrun.DriftAlarm) { onDrift.Add(1) }
+	opt.Recalibrate = func(string, lotrun.DriftAlarm) (*core.Calibration, *floor.Gate, error) {
+		recal.Add(1)
+		// "Retrain": hand back the healthy baseline gate and map.
+		return f.cal, f.gate, nil
+	}
+	res := mustServe(t, opt, spec(31, lot))
+	if len(res.Alarms) == 0 {
 		t.Fatal("20-sigma baseline shift raised no drift alarm")
 	}
-	if rep.Alarms[0].Samples < 5 {
-		t.Fatalf("alarm before warm-up: %+v", rep.Alarms[0])
+	if res.Alarms[0].Samples < 5 {
+		t.Fatalf("alarm before warm-up: %+v", res.Alarms[0])
 	}
-	if onDrift.Load() == 0 || recal == 0 || rep.Recalibrations == 0 {
-		t.Fatalf("alarm did not propagate: onDrift %d recal %d report %d",
-			onDrift.Load(), recal, rep.Recalibrations)
+	if onDrift.Load() == 0 || recal.Load() == 0 {
+		t.Fatalf("alarm did not propagate: onDrift %d recalibrate %d", onDrift.Load(), recal.Load())
 	}
-	if rep.Lot.Binned() != len(lot) {
-		t.Fatalf("%d of %d binned across the recalibration", rep.Lot.Binned(), len(lot))
-	}
-	if s := rep.String(); !strings.Contains(s, "drift alarm") {
-		t.Fatalf("report rendering lost the alarm: %q", s)
+	if res.Report.Binned() != len(lot) {
+		t.Fatalf("%d of %d binned across the drift alarms", res.Report.Binned(), len(lot))
 	}
 }
 
-func TestOrchestratorInputValidation(t *testing.T) {
+// TestDriftRecalStagesCandidate: with a registry configured, a drift
+// alarm's recalibration is enqueued as a staged candidate version and the
+// running lot's engine is NEVER swapped — its bins stay bit-identical to
+// a serial run of its pinned model.
+func TestDriftRecalStagesCandidate(t *testing.T) {
 	f := getFixture(t)
-	lot := testLot(t, f, 4)
-	ctx := context.Background()
-
-	if _, err := (&Orchestrator{}).Run(ctx, 1, lot, nil); err == nil {
-		t.Fatal("nil engine must error")
-	}
-	if _, err := (&Orchestrator{Engine: f.engine()}).Run(ctx, 1, nil, nil); err == nil {
-		t.Fatal("empty lot must error")
-	}
-	if _, err := (&Orchestrator{Engine: f.engine(), Opt: Options{Sites: -2}}).Run(ctx, 1, lot, nil); err == nil {
-		t.Fatal("negative site count must error")
-	}
-	if _, err := (&Orchestrator{Engine: f.engine()}).Resume(ctx, 1, lot, nil); err == nil {
-		t.Fatal("resume without a journal path must error")
-	}
-	bad := &floor.FaultModel{P: map[floor.FaultKind]float64{floor.FaultBurstNoise: 2}}
-	if _, err := (&Orchestrator{Engine: f.engine()}).Run(ctx, 1, lot, bad); err == nil {
-		t.Fatal("invalid fault model must error")
-	}
-}
-
-// TestResumeRejectsWrongLot: the journal header pins (seed, lot size,
-// fault load); resuming anything else must be refused.
-func TestResumeRejectsWrongLot(t *testing.T) {
-	f := getFixture(t)
-	lot := testLot(t, f, 8)
-	path := filepath.Join(t.TempDir(), "lot.journal")
-	o := &Orchestrator{Engine: f.engine(), Opt: Options{JournalPath: path, Breaker: quietBreaker()}}
-	if _, err := o.Run(context.Background(), 42, lot, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.Resume(context.Background(), 43, lot, nil); err == nil {
-		t.Fatal("wrong seed must be refused")
-	}
-	if _, err := o.Resume(context.Background(), 42, lot[:6], nil); err == nil {
-		t.Fatal("wrong lot size must be refused")
-	}
-	if _, err := o.Resume(context.Background(), 42, lot, floor.DefaultFaultModel(0.1)); err == nil {
-		t.Fatal("wrong fault load must be refused")
-	}
-}
-
-// TestBatchedOrchestratorByteIdentical extends the reproducibility
-// acceptance to the batched kernel: screening the same seeded lot with
-// batched sites (K devices per engine call) yields the same LotReport
-// (modulo Site tags) as the serial engine, for every batch size and site
-// count combination — batching amortizes compute, never semantics.
-func TestBatchedOrchestratorByteIdentical(t *testing.T) {
-	f := getFixture(t)
-	lot := testLot(t, f, 80)
-	faults := floor.DefaultFaultModel(0.15)
-	const seed = 99
-
-	serial, err := f.engine().RunLot(seed, lot, faults)
+	lot := testLot(t, f, 50)
+	eng := driftedEngine(f)
+	ref, err := eng.RunLot(31, lot, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []struct{ sites, batch int }{{1, 3}, {1, 16}, {2, 8}, {4, 64}} {
-		o := &Orchestrator{Engine: f.engine(), Opt: Options{
-			Sites: cfg.sites, Batch: cfg.batch, Breaker: quietBreaker(),
-		}}
-		rep, err := o.Run(context.Background(), seed, lot, faults)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reportsEqual(t, fmt.Sprintf("%d-site batch-%d orchestrator", cfg.sites, cfg.batch), serial, rep.Lot)
-	}
-}
 
-// TestBatchedHookPanicCostsOneDevice: a hook panic inside a batched site
-// fallback-bins only the device it fired on; the rest of the batch screens
-// normally.
-func TestBatchedHookPanicCostsOneDevice(t *testing.T) {
-	f := getFixture(t)
-	lot := testLot(t, f, 24)
-	const victim = 9
-	o := &Orchestrator{Engine: f.engine(), Opt: Options{
-		Sites: 1, Batch: 8, Breaker: quietBreaker(),
-		Hook: func(site, device int) {
-			if device == victim {
-				panic("batched hook boom")
-			}
-		},
-	}}
-	rep, err := o.Run(context.Background(), 5, lot, nil)
+	reg, err := modelreg.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range rep.Lot.Results {
-		if res.Index == victim {
-			if res.Bin != floor.BinFallback || !strings.Contains(res.Err, "batched hook boom") {
-				t.Fatalf("victim device: bin %v err %q, want fallback with the hook panic", res.Bin, res.Err)
-			}
-			continue
-		}
-		if res.Err != "" {
-			t.Fatalf("device %d collateral error: %q", res.Index, res.Err)
+	opt := oneLot(eng, lot, nil, 2)
+	opt.Watchdog = lotrun.WatchdogConfig{MinSamples: 5}
+	opt.Registry = reg
+	opt.Logf = t.Logf
+	opt.Recalibrate = func(string, lotrun.DriftAlarm) (*core.Calibration, *floor.Gate, error) {
+		return f.cal, f.gate, nil
+	}
+	res := mustServe(t, opt, spec(31, lot))
+	versions := reg.Versions()
+	if len(versions) == 0 {
+		t.Fatalf("drift recalibration staged nothing (%d alarms)", len(res.Alarms))
+	}
+	art, ok := reg.Get(versions[0])
+	if !ok || art.Note == "" {
+		t.Fatalf("staged artifact missing or without provenance: %+v", art)
+	}
+	if reg.Active() != 0 {
+		t.Fatal("staging a candidate must not activate it")
+	}
+	// The load-bearing half: no mid-lot swap happened.
+	for i := range res.Report.Results {
+		got := res.Report.Results[i]
+		got.Site = 0
+		if !reflect.DeepEqual(got, ref.Results[i]) {
+			t.Fatalf("device %d diverges from the pinned-model reference: a drift alarm must not swap the engine mid-lot", i)
 		}
 	}
+}
+
+// TestDriftRecalStagingFailureContinues: a recalibration whose artifact
+// cannot be staged is logged, and the lot continues without losing a
+// device.
+func TestDriftRecalStagingFailureContinues(t *testing.T) {
+	f := getFixture(t)
+	lot := testLot(t, f, 40)
+	reg, err := modelreg.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logged []string
+	opt := oneLot(driftedEngine(f), lot, nil, 2)
+	opt.Watchdog = lotrun.WatchdogConfig{MinSamples: 5}
+	opt.Registry = reg
+	opt.Logf = func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	opt.Recalibrate = func(string, lotrun.DriftAlarm) (*core.Calibration, *floor.Gate, error) {
+		// A "retrain" that produces an unusable artifact (no models).
+		return &core.Calibration{Stimulus: f.stim}, f.gate, nil
+	}
+	res := mustServe(t, opt, spec(33, lot))
+	if res.Report.Binned() != len(lot) {
+		t.Fatalf("%d of %d binned: staging failure must not cost devices", res.Report.Binned(), len(lot))
+	}
+	if got := reg.Versions(); len(got) != 0 {
+		t.Fatalf("unusable artifact staged: %v", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range logged {
+		if strings.Contains(line, "staging recalibrated candidate failed") {
+			return
+		}
+	}
+	t.Fatalf("staging failure was not logged: %q", logged)
 }

@@ -1,72 +1,14 @@
 package lotrun
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/floor"
-	"repro/internal/modelreg"
 )
-
-// TestJournalModelVersionPinned: the journal header pins the lot to its
-// calibration version; resuming under a different version is refused with
-// the typed ErrModelMismatch (an upgrade problem, not a retryable one),
-// and resuming under the right version completes the lot bit-identically.
-func TestJournalModelVersionPinned(t *testing.T) {
-	f := getFixture(t)
-	lot := testLot(t, f, 30)
-	path := filepath.Join(t.TempDir(), "lot.journal")
-
-	ref, err := f.engine().RunLot(41, lot, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupt the lot partway so there is something to resume.
-	ctx, cancel := context.WithCancel(context.Background())
-	o := &Orchestrator{Engine: f.engine(), Opt: Options{
-		Sites: 2, JournalPath: path, Breaker: quietBreaker(), ModelVersion: 3,
-		Hook: func(site, device int) {
-			if device == 15 {
-				cancel()
-			}
-		},
-	}}
-	if _, err := o.Run(ctx, 41, lot, nil); err == nil {
-		t.Fatal("interrupted run reported success")
-	}
-
-	wrong := &Orchestrator{Engine: f.engine(), Opt: Options{
-		Sites: 2, JournalPath: path, Breaker: quietBreaker(), ModelVersion: 1,
-	}}
-	if _, err := wrong.Resume(context.Background(), 41, lot, nil); !errors.Is(err, ErrModelMismatch) {
-		t.Fatalf("resume under the wrong model version: err=%v, want ErrModelMismatch", err)
-	}
-
-	right := &Orchestrator{Engine: f.engine(), Opt: Options{
-		Sites: 2, JournalPath: path, Breaker: quietBreaker(), ModelVersion: 3,
-	}}
-	rep, err := right.Resume(context.Background(), 41, lot, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rep.Lot.Results {
-		got := rep.Lot.Results[i]
-		got.Site = 0
-		want := ref.Results[i]
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("device %d after resume diverges from serial reference", i)
-		}
-	}
-}
 
 func envelopeLine(t *testing.T, rec any) []byte {
 	t.Helper()
@@ -119,111 +61,5 @@ func TestJournalGarbageModelVersionHeader(t *testing.T) {
 				t.Fatal("garbage model-version header accepted")
 			}
 		})
-	}
-}
-
-// TestDriftRecalStagesCandidate: with a registry configured, a drift
-// alarm's recalibration is enqueued as a staged candidate version and the
-// running lot's engine is NEVER swapped — its bins stay bit-identical to
-// a serial run of its pinned model.
-func TestDriftRecalStagesCandidate(t *testing.T) {
-	f := getFixture(t)
-	lot := testLot(t, f, 50)
-
-	drifted := *f.gate
-	drifted.TrainMeanD = f.gate.TrainMeanD - 20*f.gate.TrainSigmaD
-	eng := f.engine()
-	eng.Gate = &drifted
-
-	ref, err := eng.RunLot(31, lot, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	reg, err := modelreg.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := &Orchestrator{Engine: eng, Opt: Options{
-		Sites:    2,
-		Breaker:  quietBreaker(),
-		Watchdog: WatchdogConfig{MinSamples: 5},
-		Registry: reg,
-		Logf:     t.Logf,
-		Recalibrate: func(a DriftAlarm) (*core.Calibration, *floor.Gate, error) {
-			return f.cal, f.gate, nil
-		},
-	}}
-	rep, err := o.Run(context.Background(), 31, lot, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.StagedVersions) == 0 || rep.Recalibrations == 0 {
-		t.Fatalf("drift recalibration staged nothing: staged=%v recals=%d alarms=%d",
-			rep.StagedVersions, rep.Recalibrations, len(rep.Alarms))
-	}
-	if got := reg.Versions(); len(got) != len(rep.StagedVersions) {
-		t.Fatalf("registry has versions %v, report staged %v", got, rep.StagedVersions)
-	}
-	art, ok := reg.Get(rep.StagedVersions[0])
-	if !ok || art.Note == "" {
-		t.Fatalf("staged artifact missing or without provenance: %+v", art)
-	}
-	if reg.Active() != 0 {
-		t.Fatal("staging a candidate must not activate it")
-	}
-	// The load-bearing half: no mid-lot swap happened.
-	for i := range rep.Lot.Results {
-		got := rep.Lot.Results[i]
-		got.Site = 0
-		if !reflect.DeepEqual(got, ref.Results[i]) {
-			t.Fatalf("device %d diverges from the pinned-model reference: registry mode must not swap the engine mid-lot", i)
-		}
-	}
-}
-
-// TestDriftRecalRegistryAbsentKeepsLegacySwap is documentation-by-test:
-// without a registry the legacy swap path still applies (covered in depth
-// by TestWatchdogCUSUMResetAfterRecalibration); with a registry whose
-// staging fails, the lot logs and continues.
-func TestDriftRecalStagingFailureContinues(t *testing.T) {
-	f := getFixture(t)
-	lot := testLot(t, f, 40)
-
-	drifted := *f.gate
-	drifted.TrainMeanD = f.gate.TrainMeanD - 20*f.gate.TrainSigmaD
-	eng := f.engine()
-	eng.Gate = &drifted
-
-	reg, err := modelreg.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logged []string
-	o := &Orchestrator{Engine: eng, Opt: Options{
-		Sites:    2,
-		Breaker:  quietBreaker(),
-		Watchdog: WatchdogConfig{MinSamples: 5},
-		Registry: reg,
-		Logf: func(format string, args ...any) {
-			logged = append(logged, fmt.Sprintf(format, args...))
-		},
-		Recalibrate: func(a DriftAlarm) (*core.Calibration, *floor.Gate, error) {
-			// A "retrain" that produces an unusable artifact (no models).
-			return &core.Calibration{Stimulus: f.stim}, f.gate, nil
-		},
-	}}
-	rep, err := o.Run(context.Background(), 33, lot, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Lot.Binned() != len(lot) {
-		t.Fatalf("%d of %d binned: staging failure must not cost devices", rep.Lot.Binned(), len(lot))
-	}
-	if len(rep.StagedVersions) != 0 {
-		t.Fatalf("unusable artifact staged: %v", rep.StagedVersions)
-	}
-	if len(logged) == 0 {
-		t.Fatal("staging failure was not logged")
 	}
 }

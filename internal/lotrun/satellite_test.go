@@ -2,14 +2,10 @@ package lotrun
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"path/filepath"
-	"reflect"
-	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/floor"
 )
 
@@ -98,117 +94,5 @@ func TestJournalLegacyCRCLessAccepted(t *testing.T) {
 	}
 	if stats.Records != 2 || results[1].Bin != floor.BinFail {
 		t.Fatalf("mixed journal: stats %+v results[1] %+v", stats, results[1])
-	}
-}
-
-// TestBreakerHalfOpenRecoveryConcurrent: with every early device panicking,
-// all four sites trip, quarantine (with real sleep so open breakers overlap
-// concurrent probes), fail their half-open probes on more early devices,
-// and finally close when the healthy tail of the lot arrives. The lot must
-// complete, the backoff growth must show failed probes happened, and every
-// post-recovery device must match the hook-free reference bit for bit.
-func TestBreakerHalfOpenRecoveryConcurrent(t *testing.T) {
-	f := getFixture(t)
-	lot := testLot(t, f, 48)
-	const seed = 17
-	const victims = 24 // devices [0, victims) panic on the tester
-
-	ref, err := f.engine().RunLot(seed, lot, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := BreakerConfig{TripConsecutive: 2, ProbeBackoffS: 2, BackoffFactor: 2, MaxBackoffS: 16}
-	o := &Orchestrator{Engine: f.engine(), Opt: Options{
-		Sites:                4,
-		Breaker:              cfg,
-		QuarantineSleepScale: 1e-4, // 2 s modeled -> 0.2 ms real: probes overlap
-		Hook: func(site, device int) {
-			if device < victims {
-				panic("early-lot contactor fault")
-			}
-		},
-	}}
-	rep, err := o.Run(context.Background(), seed, lot, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Lot.Binned() != len(lot) {
-		t.Fatalf("%d of %d binned after breaker recovery", rep.Lot.Binned(), len(lot))
-	}
-	if len(rep.Trips) < 2 {
-		t.Fatalf("%d trips across a 24-device failure run; want the breakers exercised", len(rep.Trips))
-	}
-	grew := false
-	for _, tr := range rep.Trips {
-		if tr.QuarantineS > cfg.ProbeBackoffS {
-			grew = true
-		}
-	}
-	if !grew {
-		t.Fatal("no trip shows grown backoff: half-open probes never failed")
-	}
-	if rep.Lot.Load.QuarantineS <= 0 {
-		t.Fatal("quarantine time not charged to the lot economics")
-	}
-	for _, r := range rep.Lot.Results {
-		if r.Index < victims {
-			if r.Bin != floor.BinFallback || !strings.Contains(r.Err, "contactor fault") {
-				t.Fatalf("victim %d: bin %v err %q", r.Index, r.Bin, r.Err)
-			}
-			continue
-		}
-		want := ref.Results[r.Index]
-		r.Site = 0
-		if !reflect.DeepEqual(r, want) {
-			t.Fatalf("post-recovery device %d diverges from the hook-free reference:\n%+v\nvs\n%+v",
-				r.Index, r, want)
-		}
-	}
-}
-
-// TestWatchdogCUSUMResetAfterRecalibration: a Recalibrate hook that hands
-// back the SAME drifted gate does not fix anything — the swapped-in
-// watchdog re-accumulates against the same bad baseline and must alarm
-// again. Every alarm carrying Samples >= MinSamples proves the charts
-// (including the CUSUM sum) were fully reset by the swap rather than
-// re-firing on stale accumulation.
-func TestWatchdogCUSUMResetAfterRecalibration(t *testing.T) {
-	f := getFixture(t)
-	lot := testLot(t, f, 50)
-
-	drifted := *f.gate
-	drifted.TrainMeanD = f.gate.TrainMeanD - 20*f.gate.TrainSigmaD
-	eng := f.engine()
-	eng.Gate = &drifted
-
-	const minSamples = 5
-	o := &Orchestrator{Engine: eng, Opt: Options{
-		Sites:    2,
-		Breaker:  quietBreaker(),
-		Watchdog: WatchdogConfig{MinSamples: minSamples},
-		Recalibrate: func(a DriftAlarm) (*core.Calibration, *floor.Gate, error) {
-			// A retrain that converges on the same drifted baseline.
-			return f.cal, &drifted, nil
-		},
-	}}
-	rep, err := o.Run(context.Background(), 31, lot, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Alarms) < 2 {
-		t.Fatalf("%d alarms; an unfixed drift must re-alarm after recalibration", len(rep.Alarms))
-	}
-	if rep.Recalibrations < 2 {
-		t.Fatalf("%d recalibrations for %d alarms", rep.Recalibrations, len(rep.Alarms))
-	}
-	for i, a := range rep.Alarms {
-		if a.Samples < minSamples {
-			t.Fatalf("alarm %d fired on %d samples (< MinSamples %d): charts not reset by the recalibration swap: %+v",
-				i, a.Samples, minSamples, a)
-		}
-	}
-	if rep.Lot.Binned() != len(lot) {
-		t.Fatalf("%d of %d binned across repeated recalibrations", rep.Lot.Binned(), len(lot))
 	}
 }

@@ -70,7 +70,7 @@ type DriftAlarm struct {
 
 // Watchdog monitors accepted-capture gate distances for process drift
 // against a gate's training statistics. It is safe for concurrent use;
-// the orchestrator feeds it from the collector goroutine.
+// the lot server feeds it from each lot's collector goroutine.
 type Watchdog struct {
 	mu          sync.Mutex
 	cfg         WatchdogConfig

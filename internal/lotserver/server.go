@@ -1,14 +1,16 @@
-// Package lotserver is the long-lived multi-lot screening service: it
-// turns "screen a lot" into "serve traffic". One server owns a shared rig
-// (engine, device pool, fault model) plus the tester sites, and runs many
-// concurrent lots from many clients over the netfloor wire protocol.
+// Package lotserver is the repo's one lot run loop: it turns "screen a
+// lot" into "serve traffic". One server owns a shared rig (engine, device
+// pool, fault model) plus the tester sites — local workers and remote
+// netfloor sites — and runs many concurrent lots from many clients. A
+// single-lot floor is the same server with one lot (Submit + Wait) whose
+// pool is the lot itself.
 //
 // The pillars, in the order they matter:
 //
 //   - Determinism per lot: a lot's bins are a pure function of (lot seed,
-//     device index) — the same contract lotrun and netfloor enforce — so
-//     any interleaving of any number of lots produces bins bit-identical
-//     to a serial single-lot run. That is what makes the service testable.
+//     device index) — so any interleaving of any number of lots produces
+//     bins bit-identical to the serial floor.Engine.RunLot reference.
+//     That is what makes the service testable.
 //   - Isolation per lot: own seed, own fsync'd journal, own drift
 //     watchdog, own per-site circuit breakers. One lot's panic, drift
 //     alarm, poisoned devices or journal failure never touches another.
@@ -112,7 +114,9 @@ type Options struct {
 	Sites  []string
 	Dialer netfloor.Dialer
 	// LocalWorkers screens devices on the server itself (default 1 when no
-	// Sites are configured, else 0).
+	// Sites are configured, else 0). With Sites and no local workers, the
+	// server still screens locally once no site has been connected for an
+	// IdleTimeout, so a lot ends even when every site is dead.
 	LocalWorkers int
 	// MaxActiveLots bounds concurrently screening lots (default 4);
 	// MaxQueuedLots bounds admitted-but-waiting lots (default 8). Beyond
@@ -399,6 +403,7 @@ type siteStats struct {
 	addr string
 
 	mu         sync.Mutex
+	settled    bool // the first connection attempt has resolved
 	connected  bool
 	assigns    int
 	retries    int
@@ -536,8 +541,15 @@ func New(opt Options) (*Server, error) {
 		s.wg.Add(1)
 		go func(ordinal int) {
 			defer s.wg.Done()
-			s.localWorker(ordinal)
+			s.localWorker(ordinal, false)
 		}(ordinal)
+	}
+	if opt.LocalWorkers == 0 {
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			s.localWorker(len(opt.Sites), true)
+		}()
 	}
 	return s, nil
 }
@@ -552,18 +564,27 @@ func (s *Server) logf(format string, args ...any) {
 // spinning once a millisecond is cheaper than a lot waiting a heartbeat.
 const pollInterval = time.Millisecond
 
-// validSpec gates the lot identity. The ID becomes a journal filename, so
-// its alphabet is restricted — no separators, no traversal.
-func (s *Server) validSpec(spec LotSpec) error {
-	if spec.ID == "" || len(spec.ID) > 64 {
+// ValidLotID gates a lot identity. The ID becomes a journal filename
+// (<ID>.journal), so its alphabet is restricted — no separators, no
+// traversal.
+func ValidLotID(id string) error {
+	if id == "" || len(id) > 64 {
 		return fmt.Errorf("lotserver: lot ID must be 1–64 characters")
 	}
-	for _, r := range spec.ID {
+	for _, r := range id {
 		ok := r == '.' || r == '_' || r == '-' ||
 			(r >= '0' && r <= '9') || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
 		if !ok {
-			return fmt.Errorf("lotserver: lot ID %q: only [A-Za-z0-9._-] allowed", spec.ID)
+			return fmt.Errorf("lotserver: lot ID %q: only [A-Za-z0-9._-] allowed", id)
 		}
+	}
+	return nil
+}
+
+// validSpec gates the lot identity and its size against the pool.
+func (s *Server) validSpec(spec LotSpec) error {
+	if err := ValidLotID(spec.ID); err != nil {
+		return err
 	}
 	if spec.Devices < 1 || spec.Devices > len(s.opt.Pool) {
 		return fmt.Errorf("lotserver: lot of %d devices outside pool [1, %d]", spec.Devices, len(s.opt.Pool))
@@ -1065,11 +1086,21 @@ func (s *Server) runHook(l *lot, idx int) (ok bool) {
 }
 
 // localWorker screens devices on the server itself, pulling fairly across
-// lots exactly like a remote site does.
-func (s *Server) localWorker(ordinal int) {
+// lots exactly like a remote site does. A fallback worker screens only
+// while fallbackOpen says every remote site is down.
+func (s *Server) localWorker(ordinal int, fallback bool) {
+	var downSince time.Time
 	for {
 		if s.ctx.Err() != nil {
 			return
+		}
+		if fallback && !s.fallbackOpen(&downSince) {
+			select {
+			case <-s.ctx.Done():
+				return
+			case <-time.After(s.opt.HeartbeatInterval):
+			}
+			continue
 		}
 		if s.opt.Batch > 1 {
 			if l, idxs, ok := s.sched.nextBatch(s.opt.Batch); ok {
@@ -1112,6 +1143,26 @@ func (s *Server) localWorker(ordinal int) {
 		l.disp.Release(idx)
 		s.sched.done()
 	}
+}
+
+// fallbackOpen reports whether the remote-less fallback may screen: every
+// site has resolved its first connection attempt, none is connected, and
+// that has held for a whole IdleTimeout — the threshold that declares one
+// connection dead — so a site mid-reconnect does not pull work local.
+func (s *Server) fallbackOpen(downSince *time.Time) bool {
+	for _, st := range s.sites {
+		st.mu.Lock()
+		up := st.connected || !st.settled
+		st.mu.Unlock()
+		if up {
+			*downSince = time.Time{}
+			return false
+		}
+	}
+	if downSince.IsZero() {
+		*downSince = time.Now()
+	}
+	return time.Since(*downSince) >= s.opt.IdleTimeout
 }
 
 // screenLocalBatch screens one batched scheduler pull through the batched
@@ -1180,6 +1231,7 @@ func (s *Server) siteLoop(si int, addr string, st *siteStats) {
 			return
 		}
 		mc, siteBatch, err := s.connect(addr)
+		st.update(func(st *siteStats) { st.settled = true })
 		if err != nil {
 			if s.ctx.Err() != nil {
 				return

@@ -1,4 +1,4 @@
-package netfloor
+package netfloor_test
 
 import (
 	"context"
@@ -10,12 +10,13 @@ import (
 
 	"repro/internal/lotrun"
 	"repro/internal/modelreg"
+	"repro/internal/netfloor"
 )
 
 // readSkippingHeartbeats reads frames until one that is not a heartbeat
 // arrives; the manual-protocol tests below drive a real Site over a pipe,
 // so its liveness beacons interleave with the replies under test.
-func readSkippingHeartbeats(t *testing.T, mc *MsgConn) *Envelope {
+func readSkippingHeartbeats(t *testing.T, mc *netfloor.MsgConn) *netfloor.Envelope {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -23,7 +24,7 @@ func readSkippingHeartbeats(t *testing.T, mc *MsgConn) *Envelope {
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
-		if env.Type == MsgHeartbeat {
+		if env.Type == netfloor.MsgHeartbeat {
 			continue
 		}
 		return env
@@ -32,56 +33,106 @@ func readSkippingHeartbeats(t *testing.T, mc *MsgConn) *Envelope {
 	return nil
 }
 
+// siteHello is the multi-lot identity a coordinator presents to site.
+func siteHello(site *netfloor.Site) netfloor.Hello {
+	faultP := 0.0
+	if site.Faults != nil {
+		faultP = site.Faults.TotalP()
+	}
+	return netfloor.Hello{
+		Version:     netfloor.ProtocolVersion,
+		Devices:     len(site.Lot),
+		FaultP:      faultP,
+		Fingerprint: site.Engine.Fingerprint(),
+		MultiLot:    true,
+	}
+}
+
+// hello opens one connection to the farm's site0, sends h and returns the
+// connection with the site's reply.
+func hello(t *testing.T, fm *farm, h netfloor.Hello) (*netfloor.MsgConn, *netfloor.Envelope) {
+	t.Helper()
+	conn, err := fm.dialer(netfloor.FaultProfile{}, 0)(context.Background(), "site0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := netfloor.NewMsgConn(conn)
+	t.Cleanup(func() { mc.Close() })
+	if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgHello, Hello: &h}, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return mc, readSkippingHeartbeats(t, mc)
+}
+
 // TestHandshakeModelMismatchTyped: a site whose engine hashes to a
-// different fingerprint — same lot, same board, different calibration —
-// must be refused with a rejection the coordinator can detect as
-// ErrModelMismatch via errors.Is; a site describing a different floor
-// entirely (wrong lot seed) must NOT read as a model mismatch.
+// different fingerprint — same pool, same board, different calibration —
+// refuses the coordinator with the typed model_mismatch code (an upgrade
+// problem); a coordinator describing a different floor entirely (another
+// pool size) gets identity_mismatch instead. A server meeting the
+// recalibrated site abandons it and still finishes its lot.
 func TestHandshakeModelMismatchTyped(t *testing.T) {
 	f := getFixture(t)
 	lot := testLot(t, f, 8)
 	const seed = 13
 
-	fm := newFarm(t, f, lot, nil, seed, 1)
+	fm := newFarm(t, f, lot, nil, 1)
 	// Recalibrate the site differently: policy is part of the screening
 	// semantics, so the fingerprint — and only the fingerprint — moves.
-	eng := fm.sites["site0"].Engine
-	eng.Policy.MaxRetests += 2
+	site := fm.sites["site0"]
+	site.Engine.Policy.MaxRetests += 2
 
-	opt := coordOpts(fm, fm.dialer(FaultProfile{}, 0))
-	opt.defaults()
-	c := &Coordinator{Engine: f.engine(), Opt: opt}
-	hello := Hello{
-		Version:     ProtocolVersion,
-		LotSeed:     seed,
-		Devices:     len(lot),
-		Fingerprint: f.engine().Fingerprint(),
+	h := siteHello(site)
+	h.Fingerprint = f.engine().Fingerprint()
+	if _, env := hello(t, fm, h); env.Type != netfloor.MsgError || env.Code != netfloor.CodeModelMismatch {
+		t.Fatalf("fingerprint-only mismatch: got %s code %q, want error %q", env.Type, env.Code, netfloor.CodeModelMismatch)
 	}
-	_, _, err := c.connect(context.Background(), &opt, hello, "site0")
-	if !errors.Is(err, ErrModelMismatch) {
-		t.Fatalf("fingerprint-only mismatch: err=%v, want ErrModelMismatch", err)
+	// Another floor: a misconfiguration, not an upgrade problem.
+	h = siteHello(site)
+	h.Devices++
+	if _, env := hello(t, fm, h); env.Type != netfloor.MsgError || env.Code != netfloor.CodeIdentityMismatch {
+		t.Fatalf("identity mismatch: got %s code %q, want error %q", env.Type, env.Code, netfloor.CodeIdentityMismatch)
 	}
 
-	// Wrong lot seed: a misconfiguration, not an upgrade problem.
-	badHello := hello
-	badHello.LotSeed = seed + 1
-	badHello.Fingerprint = fm.sites["site0"].Engine.Fingerprint()
-	_, _, err = c.connect(context.Background(), &opt, badHello, "site0")
-	if err == nil || errors.Is(err, ErrModelMismatch) {
-		t.Fatalf("identity mismatch: err=%v, must be refused but NOT as ErrModelMismatch", err)
+	res, st := mustServe(t, remoteOpts(f, lot, nil, fm.addrs, fm.dialer(netfloor.FaultProfile{}, 0)), spec(seed, lot))
+	if st.Sites[0].Abandoned == "" {
+		t.Fatal("recalibrated site was not abandoned")
+	}
+	serial, err := f.engine().RunLot(seed, lot, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportsEqual(t, "lot beside a recalibrated site", serial, res.Report)
+}
+
+// TestSiteRefusesSingleLotHello: a Hello without MultiLot comes from an
+// older single-lot coordinator that pins one lot seed per connection; the
+// site refuses it with identity_mismatch instead of screening under a
+// seed it would never be told.
+func TestSiteRefusesSingleLotHello(t *testing.T) {
+	f := getFixture(t)
+	lot := testLot(t, f, 8)
+	fm := newFarm(t, f, lot, nil, 1)
+	h := siteHello(fm.sites["site0"])
+	h.MultiLot = false
+	mc, env := hello(t, fm, h)
+	if env.Type != netfloor.MsgError || env.Code != netfloor.CodeIdentityMismatch {
+		t.Fatalf("single-lot hello: got %s code %q, want error %q", env.Type, env.Code, netfloor.CodeIdentityMismatch)
+	}
+	if _, err := mc.Read(time.Second); err == nil {
+		t.Fatal("site kept the refused connection open")
 	}
 }
 
-// TestResumeRejectsVersionedJournalTyped: the single-lot coordinator runs
-// the base model only; a journal pinned to a registry version must be
-// refused with the typed lotrun.ErrModelMismatch.
+// TestResumeRejectsVersionedJournalTyped: a server without a model
+// registry runs the base model only; a journal pinned to a registry
+// version must be refused with the typed lotrun.ErrModelMismatch.
 func TestResumeRejectsVersionedJournalTyped(t *testing.T) {
 	f := getFixture(t)
 	lot := testLot(t, f, 6)
 	const seed = 29
-	path := filepath.Join(t.TempDir(), "versioned.journal")
+	dir := t.TempDir()
 
-	jr, err := lotrun.CreateJournal(path, lotrun.JournalHeader{
+	jr, err := lotrun.CreateJournal(filepath.Join(dir, "lot.journal"), lotrun.JournalHeader{
 		Type: "header", Version: lotrun.JournalVersion,
 		LotSeed: seed, Devices: len(lot),
 		Fingerprint:  f.engine().Fingerprint(),
@@ -92,34 +143,25 @@ func TestResumeRejectsVersionedJournalTyped(t *testing.T) {
 	}
 	jr.Close()
 
-	fm := newFarm(t, f, lot, nil, seed, 1)
-	opt := coordOpts(fm, fm.dialer(FaultProfile{}, 0))
-	opt.JournalPath = path
-	c := &Coordinator{Engine: f.engine(), Opt: opt}
-	if _, err := c.Resume(context.Background(), seed, lot, nil); !errors.Is(err, lotrun.ErrModelMismatch) {
+	fm := newFarm(t, f, lot, nil, 1)
+	opt := remoteOpts(f, lot, nil, fm.addrs, fm.dialer(netfloor.FaultProfile{}, 0))
+	opt.JournalDir = dir
+	if _, _, err := serve(t, opt, spec(seed, lot), nil); !errors.Is(err, lotrun.ErrModelMismatch) {
 		t.Fatalf("resume of a version-pinned journal: err=%v, want lotrun.ErrModelMismatch", err)
 	}
 }
 
 // dialManual opens one connection to a farm site and completes a
-// multi-lot handshake, returning the client conn.
-func dialManual(t *testing.T, fm *farm, f *fixture, lot int) *MsgConn {
+// multi-lot handshake, returning the client conn. The manual client reads
+// only when it expects a reply and net.Pipe writes block until read, so a
+// site heartbeat falling due while the test computes would time out and
+// close the connection; the site's beacons (and its idle timer, ten of
+// them) are pushed past the test.
+func dialManual(t *testing.T, fm *farm) *netfloor.MsgConn {
 	t.Helper()
-	d := fm.dialer(FaultProfile{}, 0)
-	conn, err := d(context.Background(), "site0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := NewMsgConn(conn)
-	t.Cleanup(func() { mc.Close() })
-	hello := fm.sites["site0"].hello()
-	hello.MultiLot = true
-	hello.LotSeed = 0
-	if err := mc.Write(&Envelope{Type: MsgHello, Hello: &hello}, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	ack := readSkippingHeartbeats(t, mc)
-	if ack.Type != MsgHelloAck {
+	fm.sites["site0"].HeartbeatInterval = time.Minute
+	mc, ack := hello(t, fm, siteHello(fm.sites["site0"]))
+	if ack.Type != netfloor.MsgHelloAck {
 		t.Fatalf("handshake: got %s (%s)", ack.Type, ack.Err)
 	}
 	return mc
@@ -134,8 +176,8 @@ func TestSiteVersionedAssignFetchesModel(t *testing.T) {
 	lot := testLot(t, f, 8)
 	const seed = 7
 
-	fm := newFarm(t, f, lot, nil, seed, 1)
-	mc := dialManual(t, fm, f, len(lot))
+	fm := newFarm(t, f, lot, nil, 1)
+	mc := dialManual(t, fm)
 
 	art, err := modelreg.NewArtifact(f.engine(), f.cal, f.gate, "wire test")
 	if err != nil {
@@ -147,18 +189,18 @@ func TestSiteVersionedAssignFetchesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := mc.Write(&Envelope{Type: MsgAssign, Seq: 1, Device: 3, Seed: seed, Model: 2}, time.Second); err != nil {
+	if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgAssign, Seq: 1, Device: 3, Seed: seed, Model: 2}, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	env := readSkippingHeartbeats(t, mc)
-	if env.Type != MsgModelReq || env.Model != 2 {
+	if env.Type != netfloor.MsgModelReq || env.Model != 2 {
 		t.Fatalf("expected model_req for v2, got %s (model %d)", env.Type, env.Model)
 	}
-	if err := mc.Write(&Envelope{Type: MsgModel, Model: 2, ModelFP: art.Fingerprint, Artifact: raw}, time.Second); err != nil {
+	if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgModel, Model: 2, ModelFP: art.Fingerprint, Artifact: raw}, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	env = readSkippingHeartbeats(t, mc)
-	if env.Type != MsgResult || env.Device != 3 || env.Model != 2 {
+	if env.Type != netfloor.MsgResult || env.Device != 3 || env.Model != 2 {
 		t.Fatalf("expected result for device 3 under v2, got %s device %d model %d", env.Type, env.Device, env.Model)
 	}
 
@@ -166,18 +208,18 @@ func TestSiteVersionedAssignFetchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ScreenSupervised(context.Background(), artEng, seed, 3, lot[3], nil, 0)
+	want := netfloor.ScreenSupervised(context.Background(), artEng, seed, 3, lot[3], nil, 0)
 	if !reflect.DeepEqual(*env.Result, want) {
 		t.Fatalf("wire result diverges from local screening under the artifact engine:\n%+v\nvs\n%+v", *env.Result, want)
 	}
 
 	// Second assignment under the same version: served from cache, no
 	// second fetch.
-	if err := mc.Write(&Envelope{Type: MsgAssign, Seq: 2, Device: 4, Seed: seed, Model: 2}, time.Second); err != nil {
+	if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgAssign, Seq: 2, Device: 4, Seed: seed, Model: 2}, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	env = readSkippingHeartbeats(t, mc)
-	if env.Type != MsgResult || env.Device != 4 {
+	if env.Type != netfloor.MsgResult || env.Device != 4 {
 		t.Fatalf("cached-version assign: got %s device %d", env.Type, env.Device)
 	}
 	if st := fm.sites["site0"].Stats(); st.ModelFetches != 1 || st.ModelFails != 0 {
@@ -193,30 +235,30 @@ func TestSiteRejectsBadModelArtifact(t *testing.T) {
 	lot := testLot(t, f, 8)
 	const seed = 17
 
-	fm := newFarm(t, f, lot, nil, seed, 1)
-	mc := dialManual(t, fm, f, len(lot))
+	fm := newFarm(t, f, lot, nil, 1)
+	mc := dialManual(t, fm)
 
-	if err := mc.Write(&Envelope{Type: MsgAssign, Seq: 5, Device: 2, Seed: seed, Model: 9}, time.Second); err != nil {
+	if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgAssign, Seq: 5, Device: 2, Seed: seed, Model: 9}, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	env := readSkippingHeartbeats(t, mc)
-	if env.Type != MsgModelReq {
+	if env.Type != netfloor.MsgModelReq {
 		t.Fatalf("expected model_req, got %s", env.Type)
 	}
-	if err := mc.Write(&Envelope{Type: MsgModel, Model: 9, Artifact: []byte(`{"not":"an artifact"}`)}, time.Second); err != nil {
+	if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgModel, Model: 9, Artifact: []byte(`{"not":"an artifact"}`)}, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	env = readSkippingHeartbeats(t, mc)
-	if env.Type != MsgError || env.Code != CodeModelMismatch || env.Seq != 5 {
+	if env.Type != netfloor.MsgError || env.Code != netfloor.CodeModelMismatch || env.Seq != 5 {
 		t.Fatalf("expected coded model_mismatch error for seq 5, got %s code %q seq %d", env.Type, env.Code, env.Seq)
 	}
 
 	// Connection still serves the base model.
-	if err := mc.Write(&Envelope{Type: MsgAssign, Seq: 6, Device: 2, Seed: seed}, time.Second); err != nil {
+	if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgAssign, Seq: 6, Device: 2, Seed: seed}, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	env = readSkippingHeartbeats(t, mc)
-	if env.Type != MsgResult || env.Device != 2 {
+	if env.Type != netfloor.MsgResult || env.Device != 2 {
 		t.Fatalf("base-model assign after rejection: got %s device %d", env.Type, env.Device)
 	}
 	if st := fm.sites["site0"].Stats(); st.ModelFails != 1 {
@@ -231,9 +273,9 @@ func TestSiteModelCacheEviction(t *testing.T) {
 	lot := testLot(t, f, 8)
 	const seed = 19
 
-	fm := newFarm(t, f, lot, nil, seed, 1)
+	fm := newFarm(t, f, lot, nil, 1)
 	fm.sites["site0"].ModelCacheSize = 2
-	mc := dialManual(t, fm, f, len(lot))
+	mc := dialManual(t, fm)
 
 	art, err := modelreg.NewArtifact(f.engine(), f.cal, f.gate, "evict test")
 	if err != nil {
@@ -241,23 +283,23 @@ func TestSiteModelCacheEviction(t *testing.T) {
 	}
 	assignUnder := func(seq uint64, version, device int) {
 		t.Helper()
-		if err := mc.Write(&Envelope{Type: MsgAssign, Seq: seq, Device: device, Seed: seed, Model: version}, time.Second); err != nil {
+		if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgAssign, Seq: seq, Device: device, Seed: seed, Model: version}, time.Second); err != nil {
 			t.Fatal(err)
 		}
 		env := readSkippingHeartbeats(t, mc)
-		if env.Type == MsgModelReq {
+		if env.Type == netfloor.MsgModelReq {
 			a := *art
 			a.Version = version
 			raw, err := modelreg.EncodeArtifact(&a)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := mc.Write(&Envelope{Type: MsgModel, Model: version, ModelFP: a.Fingerprint, Artifact: raw}, time.Second); err != nil {
+			if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgModel, Model: version, ModelFP: a.Fingerprint, Artifact: raw}, time.Second); err != nil {
 				t.Fatal(err)
 			}
 			env = readSkippingHeartbeats(t, mc)
 		}
-		if env.Type != MsgResult || env.Device != device || env.Model != version {
+		if env.Type != netfloor.MsgResult || env.Device != device || env.Model != version {
 			t.Fatalf("assign under v%d: got %s device %d model %d", version, env.Type, env.Device, env.Model)
 		}
 	}

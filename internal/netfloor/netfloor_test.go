@@ -1,15 +1,18 @@
-package netfloor
+package netfloor_test
+
+// The distributed floor end to end: netfloor Sites behind a fault-injecting
+// transport, driven by the one lot runner there is — a lotserver.Server
+// serving a single lot, as sigtest -remote and examples/production do.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,13 +21,15 @@ import (
 	"repro/internal/floor"
 	"repro/internal/lna"
 	"repro/internal/lotrun"
+	"repro/internal/lotserver"
+	"repro/internal/netfloor"
 	"repro/internal/parallel"
 	"repro/internal/wave"
 )
 
 // fixture is the shared engineering phase (stimulus, calibration, gate),
-// built once for the whole package — the same recipe as lotrun's tests,
-// so bit-identity claims span both orchestrators.
+// built once for the whole package — the same recipe as the lotrun and
+// lotserver tests, so bit-identity claims span every floor.
 type fixture struct {
 	cfg   *core.TestConfig
 	cal   *core.Calibration
@@ -107,32 +112,28 @@ func testLot(t *testing.T, f *fixture, n int) []*core.Device {
 
 func quietBreaker() lotrun.BreakerConfig { return lotrun.BreakerConfig{TripConsecutive: 1 << 20} }
 
-// stripSites zeroes the per-result Site field — the only LotReport content
-// that legitimately depends on which site screened which device — and the
-// floor-dependent economics charges (network time scales with the retry
-// count, quarantine with device placement, journal time with journaling),
-// plus the Time comparison derived from them. Everything else — bins,
-// mis-bins, fault counts, verdicts, retest histogram, per-device results —
-// must be bit-identical across floors.
-func stripSites(rep *floor.LotReport) {
-	for i := range rep.Results {
-		rep.Results[i].Site = 0
-	}
-	rep.Load.NetworkS = 0
-	rep.Load.QuarantineS = 0
-	rep.Load.JournalS = 0
-	rep.Time = ate.TimeComparison{}
-}
-
+// reportsEqual compares two lot reports modulo what legitimately depends
+// on which site screened which device: Site ordinals and the modeled
+// economics charges (network time scales with the retry count, quarantine
+// with device placement, journal time with journaling), plus the Time
+// comparison derived from them. Everything else — bins, mis-bins, fault
+// counts, verdicts, retest histogram, per-device results — must be
+// bit-identical across floors.
 func reportsEqual(t *testing.T, label string, a, b *floor.LotReport) {
 	t.Helper()
-	ca, cb := *a, *b
-	ca.Results = append([]floor.DeviceResult(nil), a.Results...)
-	cb.Results = append([]floor.DeviceResult(nil), b.Results...)
-	stripSites(&ca)
-	stripSites(&cb)
+	strip := func(r *floor.LotReport) floor.LotReport {
+		c := *r
+		c.Results = append([]floor.DeviceResult(nil), r.Results...)
+		for i := range c.Results {
+			c.Results[i].Site = 0
+		}
+		c.Load.NetworkS, c.Load.QuarantineS, c.Load.JournalS = 0, 0, 0
+		c.Time = ate.TimeComparison{}
+		return c
+	}
+	ca, cb := strip(a), strip(b)
 	if !reflect.DeepEqual(ca, cb) {
-		t.Fatalf("%s: lot reports diverge:\n%v\nvs\n%v", label, ca, cb)
+		t.Fatalf("%s: lot reports diverge:\n%v\nvs\n%v", label, &ca, &cb)
 	}
 }
 
@@ -141,26 +142,24 @@ func reportsEqual(t *testing.T, label string, a, b *floor.LotReport) {
 // connection. Sites persist across reconnects, exactly like separate
 // sitetester processes would.
 type farm struct {
-	t      *testing.T
-	ctx    context.Context
-	cancel context.CancelFunc
-	sites  map[string]*Site
-	addrs  []string
+	ctx   context.Context
+	sites map[string]*netfloor.Site
+	addrs []string
 
 	mu    sync.Mutex
 	conns int
 	wg    sync.WaitGroup
 }
 
-func newFarm(t *testing.T, f *fixture, lot []*core.Device, faults *floor.FaultModel, lotSeed int64, n int) *farm {
+func newFarm(t *testing.T, f *fixture, lot []*core.Device, faults *floor.FaultModel, n int) *farm {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	fm := &farm{t: t, ctx: ctx, cancel: cancel, sites: make(map[string]*Site)}
+	fm := &farm{ctx: ctx, sites: make(map[string]*netfloor.Site)}
 	for i := 0; i < n; i++ {
 		addr := fmt.Sprintf("site%d", i)
 		fm.addrs = append(fm.addrs, addr)
-		fm.sites[addr] = &Site{
-			Name: addr, Engine: f.engine(), Lot: lot, Faults: faults, LotSeed: lotSeed,
+		fm.sites[addr] = &netfloor.Site{
+			Name: addr, Engine: f.engine(), Lot: lot, Faults: faults,
 			HeartbeatInterval: 10 * time.Millisecond,
 		}
 	}
@@ -174,7 +173,7 @@ func newFarm(t *testing.T, f *fixture, lot []*core.Device, faults *floor.FaultMo
 // dialer returns a Dialer producing net.Pipe connections to the farm's
 // sites; a non-zero profile faults BOTH directions, each with its own
 // deterministic stream.
-func (fm *farm) dialer(prof FaultProfile, seed int64) Dialer {
+func (fm *farm) dialer(prof netfloor.FaultProfile, seed int64) netfloor.Dialer {
 	return func(ctx context.Context, addr string) (net.Conn, error) {
 		site, ok := fm.sites[addr]
 		if !ok {
@@ -191,8 +190,8 @@ func (fm *farm) dialer(prof FaultProfile, seed int64) Dialer {
 		var srvConn net.Conn = srv
 		var cliConn net.Conn = cli
 		if !prof.Zero() {
-			srvConn = NewFaultConn(srv, parallel.SubSeed(seed, 2*k+1), prof)
-			cliConn = NewFaultConn(cli, parallel.SubSeed(seed, 2*k), prof)
+			srvConn = netfloor.NewFaultConn(srv, parallel.SubSeed(seed, 2*k+1), prof)
+			cliConn = netfloor.NewFaultConn(cli, parallel.SubSeed(seed, 2*k), prof)
 		}
 		fm.wg.Add(1)
 		go func() {
@@ -203,10 +202,13 @@ func (fm *farm) dialer(prof FaultProfile, seed int64) Dialer {
 	}
 }
 
-// coordOpts is the fast-timing Options base used across the tests.
-func coordOpts(fm *farm, d Dialer) Options {
-	return Options{
-		Remotes:           fm.addrs,
+// remoteOpts is the fast-timing server configuration for a one-lot
+// distributed floor: the lot is the whole pool, screened by the given
+// sites (no local workers, so the remote-less fallback stands by).
+func remoteOpts(f *fixture, lot []*core.Device, faults *floor.FaultModel, sites []string, d netfloor.Dialer) lotserver.Options {
+	return lotserver.Options{
+		Engine: f.engine(), Pool: lot, Faults: faults,
+		Sites:             sites,
 		Dialer:            d,
 		RequestTimeout:    2 * time.Second,
 		HeartbeatInterval: 10 * time.Millisecond,
@@ -217,11 +219,61 @@ func coordOpts(fm *farm, d Dialer) Options {
 	}
 }
 
+func spec(seed int64, lot []*core.Device) lotserver.LotSpec {
+	return lotserver.LotSpec{ID: "lot", Seed: seed, Devices: len(lot)}
+}
+
+// serve screens one lot on a fresh server, hands the server to inspect
+// (which may cancel the submission) while the lot runs, and stops the
+// server once the lot ends. The returned status is taken after the lot
+// ended, before the server stopped.
+func serve(t *testing.T, opt lotserver.Options, sp lotserver.LotSpec, inspect func(*lotserver.Server, context.CancelFunc)) (*lotserver.LotResult, lotserver.Status, error) {
+	t.Helper()
+	s, err := lotserver.New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Kill()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	h, err := s.Submit(ctx, sp)
+	if err != nil {
+		return nil, s.Status(), err
+	}
+	if inspect != nil {
+		inspect(s, cancel)
+	}
+	res, err := h.Wait(context.Background())
+	return res, s.Status(), err
+}
+
+func mustServe(t *testing.T, opt lotserver.Options, sp lotserver.LotSpec) (*lotserver.LotResult, lotserver.Status) {
+	t.Helper()
+	res, st, err := serve(t, opt, sp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, st
+}
+
+// screenedBy counts the lot's devices whose committed result came from
+// worker ordinal w (remote sites are 0..len(Sites)-1, the local fallback
+// is len(Sites)).
+func screenedBy(rep *floor.LotReport, w int) int {
+	n := 0
+	for _, r := range rep.Results {
+		if r.Site == w {
+			n++
+		}
+	}
+	return n
+}
+
 // TestDistributedBitIdentity is the acceptance test: for a fixed lot
-// seed, the bins from (a) the serial engine, (b) the in-process
-// orchestrator, (c) the distributed coordinator at 1, 4 and 8 sites
-// under injected drop/duplicate/partition faults, and (d) a coordinator
-// killed mid-lot and resumed, are all identical.
+// seed, the bins from (a) the serial engine, (b) four local sites, (c)
+// 1, 4 and 8 remote sites under injected drop/duplicate/partition
+// faults, and (d) a distributed lot killed mid-run and resumed, are all
+// identical.
 func TestDistributedBitIdentity(t *testing.T) {
 	f := getFixture(t)
 	lot := testLot(t, f, 48)
@@ -232,70 +284,78 @@ func TestDistributedBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := (&lotrun.Orchestrator{Engine: f.engine(),
-		Opt: lotrun.Options{Sites: 4, Breaker: quietBreaker()}}).
-		Run(context.Background(), seed, lot, faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportsEqual(t, "serial vs 4-site local", serial, local.Lot)
+	local, _ := mustServe(t, lotserver.Options{
+		Engine: f.engine(), Pool: lot, Faults: faults, LocalWorkers: 4, Breaker: quietBreaker(),
+	}, spec(seed, lot))
+	reportsEqual(t, "serial vs 4-site local", serial, local.Report)
 
-	prof := FaultProfile{DropP: 0.03, DupP: 0.05, PartitionAfter: 150}
+	prof := netfloor.FaultProfile{DropP: 0.03, DupP: 0.05, PartitionAfter: 150}
 	for _, sites := range []int{1, 4, 8} {
 		sites := sites
 		t.Run(fmt.Sprintf("sites=%d", sites), func(t *testing.T) {
-			fm := newFarm(t, f, lot, faults, seed, sites)
-			c := &Coordinator{Engine: f.engine(), Opt: coordOpts(fm, fm.dialer(prof, int64(sites)))}
-			rep, err := c.Run(context.Background(), seed, lot, faults)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reportsEqual(t, fmt.Sprintf("serial vs %d-site distributed", sites), serial, rep.Lot)
-			if rep.Lot.Load.NetworkS <= 0 {
+			fm := newFarm(t, f, lot, faults, sites)
+			res, _ := mustServe(t, remoteOpts(f, lot, faults, fm.addrs, fm.dialer(prof, int64(sites))), spec(seed, lot))
+			reportsEqual(t, fmt.Sprintf("serial vs %d-site distributed", sites), serial, res.Report)
+			if res.Report.Load.NetworkS <= 0 {
 				t.Fatal("distributed lot charged no network time")
 			}
 		})
 	}
 
 	// Kill-and-resume: interrupt the distributed run after 15 commits,
-	// then resume it (fresh coordinator, same rig) — same bins again.
+	// then resubmit it (fresh server and farm, same journal) — same bins
+	// again.
 	t.Run("kill-and-resume", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "net.journal")
-		fm := newFarm(t, f, lot, faults, seed, 4)
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		var committed atomic.Int64
-		opt := coordOpts(fm, fm.dialer(prof, 77))
-		opt.JournalPath = path
-		opt.OnResult = func(floor.DeviceResult) {
-			if committed.Add(1) == 15 {
-				cancel()
-			}
-		}
-		c := &Coordinator{Engine: f.engine(), Opt: opt}
-		if _, err := c.Run(ctx, seed, lot, faults); err == nil {
-			t.Fatal("killed distributed run must report interruption")
+		dir := t.TempDir()
+		fm := newFarm(t, f, lot, faults, 4)
+		opt := remoteOpts(f, lot, faults, fm.addrs, fm.dialer(prof, 77))
+		opt.JournalDir = dir
+		_, _, err := serve(t, opt, spec(seed, lot), func(s *lotserver.Server, cancel context.CancelFunc) {
+			waitCommitted(t, s, "lot", 15)
+			cancel()
+		})
+		if !errors.Is(err, lotserver.ErrAborted) {
+			t.Fatalf("killed distributed lot: err=%v, want ErrAborted", err)
 		}
 
-		fm2 := newFarm(t, f, lot, faults, seed, 4)
-		opt2 := coordOpts(fm2, fm2.dialer(prof, 78))
-		opt2.JournalPath = path
-		c2 := &Coordinator{Engine: f.engine(), Opt: opt2}
-		rep, err := c2.Resume(context.Background(), seed, lot, faults)
-		if err != nil {
-			t.Fatal(err)
+		fm2 := newFarm(t, f, lot, faults, 4)
+		opt2 := remoteOpts(f, lot, faults, fm2.addrs, fm2.dialer(prof, 78))
+		opt2.JournalDir = dir
+		res, _ := mustServe(t, opt2, spec(seed, lot))
+		if res.Replayed == 0 || res.Replayed >= len(lot) {
+			t.Fatalf("resume replayed %d of %d devices; want partial progress", res.Replayed, len(lot))
 		}
-		if rep.Replayed == 0 || rep.Replayed >= len(lot) {
-			t.Fatalf("resume replayed %d of %d devices; want partial progress", rep.Replayed, len(lot))
-		}
-		reportsEqual(t, "distributed kill-and-resume", serial, rep.Lot)
+		reportsEqual(t, "distributed kill-and-resume", serial, res.Report)
 	})
 }
 
+// waitCommitted polls until the lot has committed at least n devices (or
+// has already finished).
+func waitCommitted(t *testing.T, s *lotserver.Server, lotID string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		active := false
+		for _, ls := range s.Status().ActiveLots {
+			if ls.ID == lotID {
+				active = true
+				if ls.Committed >= n {
+					return
+				}
+			}
+		}
+		if !active {
+			t.Fatalf("lot %s ended before committing %d devices", lotID, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("lot %s never reached %d committed devices", lotID, n)
+}
+
 // TestPartitionFailover: every connection black-holes after a few
-// messages. The coordinator must detect the silence via the idle timeout,
+// messages. The server must detect the silence via the idle timeout,
 // reconnect, reassign what was in flight, and still finish with the
-// serial bins — and the report must show the network actually failed.
+// serial bins — and the status must show the network actually failed.
 func TestPartitionFailover(t *testing.T) {
 	f := getFixture(t)
 	lot := testLot(t, f, 24)
@@ -306,32 +366,31 @@ func TestPartitionFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fm := newFarm(t, f, lot, nil, seed, 2)
-	prof := FaultProfile{PartitionAfter: 12}
-	opt := coordOpts(fm, fm.dialer(prof, 5))
-	opt.DisableLocalFallback = true // force recovery through the network
-	c := &Coordinator{Engine: f.engine(), Opt: opt}
-
+	fm := newFarm(t, f, lot, nil, 2)
+	prof := netfloor.FaultProfile{PartitionAfter: 12}
 	start := time.Now()
-	rep, err := c.Run(context.Background(), seed, lot, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, st := mustServe(t, remoteOpts(f, lot, nil, fm.addrs, fm.dialer(prof, 5)), spec(seed, lot))
 	elapsed := time.Since(start)
-	reportsEqual(t, "partition failover", serial, rep.Lot)
-	if rep.Net.Reconnects == 0 {
+	reportsEqual(t, "partition failover", serial, res.Report)
+	reconnects, retries, reassigns := 0, 0, 0
+	for _, s := range st.Sites {
+		reconnects += s.Reconnects
+		retries += s.Retries
+		reassigns += s.Reassigns
+	}
+	if reconnects == 0 {
 		t.Fatal("partitioned floor finished without a single reconnect")
 	}
-	if rep.Net.LocalDevices != 0 {
-		t.Fatalf("local fallback screened %d devices with fallback disabled", rep.Net.LocalDevices)
+	if remote := len(lot) - screenedBy(res.Report, len(fm.addrs)); remote == 0 {
+		t.Fatal("no device was screened through the network")
 	}
-	t.Logf("partition failover: %d reconnects, %d retries, %d reassigned, %d hedges, %d dups absorbed in %v",
-		rep.Net.Reconnects, rep.Net.Retries, rep.Net.Reassigned, rep.Net.Hedges, rep.Net.DupResults, elapsed)
+	t.Logf("partition failover: %d reconnects, %d retries, %d reassigned, %d dups absorbed, %d local in %v",
+		reconnects, retries, reassigns, res.Dups, screenedBy(res.Report, len(fm.addrs)), elapsed)
 }
 
-// TestAllRemotesDownLocalFallback: with every dial failing, the local
-// fallback screens the entire lot — same bins, and the report says who
-// did the work.
+// TestAllRemotesDownLocalFallback: with every dial failing, the
+// remote-less fallback screens the entire lot — same bins, and the
+// results say who did the work.
 func TestAllRemotesDownLocalFallback(t *testing.T) {
 	f := getFixture(t)
 	lot := testLot(t, f, 16)
@@ -341,71 +400,44 @@ func TestAllRemotesDownLocalFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	down := func(ctx context.Context, addr string) (net.Conn, error) {
 		return nil, fmt.Errorf("connection refused")
 	}
-	opt := Options{
-		Remotes:           []string{"deadsite"},
-		Dialer:            down,
-		RequestTimeout:    time.Second,
-		HeartbeatInterval: 5 * time.Millisecond,
-		RetryBase:         5 * time.Millisecond,
-		RetryMax:          20 * time.Millisecond,
-		Breaker:           quietBreaker(),
+	opt := remoteOpts(f, lot, nil, []string{"deadsite"}, down)
+	opt.HeartbeatInterval = 5 * time.Millisecond
+	opt.IdleTimeout = 20 * time.Millisecond
+	opt.RetryMax = 20 * time.Millisecond
+	res, st := mustServe(t, opt, spec(seed, lot))
+	reportsEqual(t, "all-remotes-down fallback", serial, res.Report)
+	if got := screenedBy(res.Report, 1); got != len(lot) {
+		t.Fatalf("local fallback screened %d of %d devices", got, len(lot))
 	}
-	c := &Coordinator{Engine: f.engine(), Opt: opt}
-	rep, err := c.Run(context.Background(), seed, lot, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportsEqual(t, "all-remotes-down fallback", serial, rep.Lot)
-	if rep.Net.LocalDevices != len(lot) {
-		t.Fatalf("local fallback screened %d of %d devices", rep.Net.LocalDevices, len(lot))
-	}
-	if rep.Net.DialFails == 0 {
+	if st.Sites[0].DialFails == 0 {
 		t.Fatal("dead remote produced no dial failures")
-	}
-	if !strings.Contains(rep.String(), "local fallback") {
-		t.Fatalf("report rendering lost the fallback story: %q", rep.String())
-	}
-
-	// And with the fallback disabled and no remotes, the run must refuse
-	// to start rather than hang.
-	c2 := &Coordinator{Engine: f.engine(), Opt: Options{DisableLocalFallback: true}}
-	if _, err := c2.Run(context.Background(), seed, lot, nil); err == nil {
-		t.Fatal("no remotes + no fallback must error")
 	}
 }
 
-// TestHelloRejectsMismatchedSite: a site serving a different lot (wrong
-// seed → different fingerprinted lot identity) is permanently abandoned
-// after the handshake; the lot still finishes via the local fallback and
-// the report names the abandonment.
+// TestHelloRejectsMismatchedSite: a site serving a different device pool
+// is permanently abandoned after the handshake; the lot still finishes
+// via the remote-less fallback and the status names the abandonment.
 func TestHelloRejectsMismatchedSite(t *testing.T) {
 	f := getFixture(t)
 	lot := testLot(t, f, 8)
 	const seed = 3
 
-	fm := newFarm(t, f, lot, nil, seed+1, 1) // site built for the WRONG lot seed
-	opt := coordOpts(fm, fm.dialer(FaultProfile{}, 0))
-	c := &Coordinator{Engine: f.engine(), Opt: opt}
-	rep, err := c.Run(context.Background(), seed, lot, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Sites[0].Err == "" {
+	fm := newFarm(t, f, lot[:7], nil, 1) // site built for the WRONG pool
+	res, st := mustServe(t, remoteOpts(f, lot, nil, fm.addrs, fm.dialer(netfloor.FaultProfile{}, 0)), spec(seed, lot))
+	if st.Sites[0].Abandoned == "" {
 		t.Fatal("mismatched site was not abandoned")
 	}
-	if rep.Net.LocalDevices != len(lot) {
-		t.Fatalf("local fallback screened %d of %d after abandonment", rep.Net.LocalDevices, len(lot))
+	if got := screenedBy(res.Report, 1); got != len(lot) {
+		t.Fatalf("local fallback screened %d of %d after abandonment", got, len(lot))
 	}
-
 	serial, err := f.engine().RunLot(seed, lot, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reportsEqual(t, "abandoned-site lot", serial, rep.Lot)
+	reportsEqual(t, "abandoned-site lot", serial, res.Report)
 }
 
 // TestExactlyOnceUnderDuplication: a duplication-heavy transport delivers
@@ -416,19 +448,13 @@ func TestExactlyOnceUnderDuplication(t *testing.T) {
 	f := getFixture(t)
 	lot := testLot(t, f, 24)
 	const seed = 21
-	path := filepath.Join(t.TempDir(), "dup.journal")
 
-	fm := newFarm(t, f, lot, nil, seed, 3)
-	prof := FaultProfile{DupP: 0.5}
-	opt := coordOpts(fm, fm.dialer(prof, 9))
-	opt.JournalPath = path
-	c := &Coordinator{Engine: f.engine(), Opt: opt}
-	rep, err := c.Run(context.Background(), seed, lot, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fm := newFarm(t, f, lot, nil, 3)
+	opt := remoteOpts(f, lot, nil, fm.addrs, fm.dialer(netfloor.FaultProfile{DupP: 0.5}, 9))
+	opt.JournalDir = t.TempDir()
+	res, _ := mustServe(t, opt, spec(seed, lot))
 
-	hdr, results, _, stats, err := lotrun.ReplayJournal(path)
+	hdr, results, _, stats, err := lotrun.ReplayJournal(filepath.Join(opt.JournalDir, "lot.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,18 +472,18 @@ func TestExactlyOnceUnderDuplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reportsEqual(t, "duplication-heavy lot", serial, rep.Lot)
-	if rep.Net.LocalDevices > len(lot)/4 {
-		t.Fatalf("local fallback screened %d of %d devices while every remote was healthy", rep.Net.LocalDevices, len(lot))
+	reportsEqual(t, "duplication-heavy lot", serial, res.Report)
+	local := screenedBy(res.Report, len(fm.addrs))
+	if local > len(lot)/4 {
+		t.Fatalf("local fallback screened %d of %d devices while every remote was healthy", local, len(lot))
 	}
-	if rep.Net.Assigns < len(lot)-rep.Net.LocalDevices {
-		t.Fatalf("%d assigns for %d remote devices: the lot was not screened remotely",
-			rep.Net.Assigns, len(lot)-rep.Net.LocalDevices)
+	if res.Assigns < len(lot)-local {
+		t.Fatalf("%d assigns for %d remote devices: the lot was not screened remotely", res.Assigns, len(lot)-local)
 	}
-	if rep.Net.DupResults == 0 {
+	if res.Dups == 0 {
 		t.Fatal("a 50% duplication transport exercised no dedup at all")
 	}
-	t.Logf("dup lot: %d duplicate results absorbed, %d assigns", rep.Net.DupResults, rep.Net.Assigns)
+	t.Logf("dup lot: %d duplicate results absorbed, %d assigns", res.Dups, res.Assigns)
 }
 
 // TestNetSoak is the -race soak: the full fault cocktail — drop,
@@ -479,8 +505,8 @@ func TestNetSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fm := newFarm(t, f, lot, faults, seed, 4)
-	prof := FaultProfile{
+	fm := newFarm(t, f, lot, faults, 4)
+	prof := netfloor.FaultProfile{
 		DropP:          0.05,
 		DupP:           0.05,
 		CorruptP:       0.02,
@@ -488,63 +514,40 @@ func TestNetSoak(t *testing.T) {
 		DelayMax:       3 * time.Millisecond,
 		PartitionAfter: 60,
 	}
-	opt := coordOpts(fm, fm.dialer(prof, 1234))
+	opt := remoteOpts(f, lot, faults, fm.addrs, fm.dialer(prof, 1234))
 	opt.RequestTimeout = time.Second
-	c := &Coordinator{Engine: f.engine(), Opt: opt}
-	rep, err := c.Run(context.Background(), seed, lot, faults)
-	if err != nil {
-		t.Fatal(err)
+	res, st := mustServe(t, opt, spec(seed, lot))
+	reportsEqual(t, "soak", serial, res.Report)
+	retries, reconnects := 0, 0
+	for _, s := range st.Sites {
+		retries += s.Retries
+		reconnects += s.Reconnects
 	}
-	reportsEqual(t, "soak", serial, rep.Lot)
 	t.Logf("soak: %d assigns, %d retries, %d reconnects, %d dups absorbed, %d local",
-		rep.Net.Assigns, rep.Net.Retries, rep.Net.Reconnects, rep.Net.DupResults, rep.Net.LocalDevices)
-}
-
-// TestCoordinatorInputValidation covers the refuse-early paths.
-func TestCoordinatorInputValidation(t *testing.T) {
-	f := getFixture(t)
-	lot := testLot(t, f, 4)
-	ctx := context.Background()
-
-	if _, err := (&Coordinator{}).Run(ctx, 1, lot, nil); err == nil {
-		t.Fatal("nil engine must error")
-	}
-	if _, err := (&Coordinator{Engine: f.engine()}).Run(ctx, 1, nil, nil); err == nil {
-		t.Fatal("empty lot must error")
-	}
-	if _, err := (&Coordinator{Engine: f.engine()}).Resume(ctx, 1, lot, nil); err == nil {
-		t.Fatal("resume without a journal path must error")
-	}
-	bad := &floor.FaultModel{P: map[floor.FaultKind]float64{floor.FaultBurstNoise: 2}}
-	if _, err := (&Coordinator{Engine: f.engine()}).Run(ctx, 1, lot, bad); err == nil {
-		t.Fatal("invalid fault model must error")
-	}
+		res.Assigns, retries, reconnects, res.Dups, screenedBy(res.Report, len(fm.addrs)))
 }
 
 // TestResumeRejectsWrongRig: the journal pins the lot identity AND the
-// engine fingerprint; a resume from a differently calibrated coordinator
-// must be refused.
+// engine fingerprint; a resubmission with another seed, or on a
+// differently calibrated server, must be refused — the latter with the
+// typed ErrModelMismatch.
 func TestResumeRejectsWrongRig(t *testing.T) {
 	f := getFixture(t)
 	lot := testLot(t, f, 8)
 	const seed = 55
-	path := filepath.Join(t.TempDir(), "rig.journal")
 
-	fm := newFarm(t, f, lot, nil, seed, 1)
-	opt := coordOpts(fm, fm.dialer(FaultProfile{}, 0))
-	opt.JournalPath = path
-	c := &Coordinator{Engine: f.engine(), Opt: opt}
-	if _, err := c.Run(context.Background(), seed, lot, nil); err != nil {
-		t.Fatal(err)
-	}
+	fm := newFarm(t, f, lot, nil, 1)
+	opt := remoteOpts(f, lot, nil, fm.addrs, fm.dialer(netfloor.FaultProfile{}, 0))
+	opt.JournalDir = t.TempDir()
+	mustServe(t, opt, spec(seed, lot))
 
-	if _, err := c.Resume(context.Background(), seed+1, lot, nil); err == nil {
+	if _, _, err := serve(t, opt, spec(seed+1, lot), nil); err == nil {
 		t.Fatal("wrong seed must be refused")
 	}
-	eng := f.engine()
-	eng.Policy.MaxRetests = eng.Policy.MaxRetests + 3 // different policy → different fingerprint
-	c2 := &Coordinator{Engine: eng, Opt: opt}
-	if _, err := c2.Resume(context.Background(), seed, lot, nil); err == nil {
-		t.Fatal("differently calibrated engine must be refused")
+	rig := opt
+	rig.Engine = f.engine()
+	rig.Engine.Policy.MaxRetests += 3 // different policy → different fingerprint
+	if _, _, err := serve(t, rig, spec(seed, lot), nil); !errors.Is(err, lotrun.ErrModelMismatch) {
+		t.Fatalf("differently calibrated engine: err=%v, want ErrModelMismatch", err)
 	}
 }

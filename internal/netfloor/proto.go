@@ -1,7 +1,8 @@
-// Package netfloor is the distributed test floor: one coordinator screens
-// a production lot across N remote tester sites over TCP, and stays
-// correct when the network does not. The design extends the determinism
-// contract of internal/lotrun across the wire:
+// Package netfloor is the wire side of the distributed test floor: the
+// site protocol, the remote tester Site, a fault-injecting net.Conn and
+// the per-lot exactly-once Dispatcher. The coordinator that drives sites
+// is internal/lotserver's Server. The design extends the determinism
+// contract across the wire:
 //
 //   - assignments are keyed by (lot seed, device index) alone — a site
 //     rebuilds the identical lot and engine from the shared engineering
@@ -45,8 +46,8 @@ const maxFrame = 4 << 20
 type MsgType string
 
 const (
-	// MsgHello opens a connection: the coordinator states the lot identity
-	// (seed, size, fault load, engine fingerprint) it intends to screen.
+	// MsgHello opens a connection: the coordinator states the floor
+	// identity (pool size, fault load, engine fingerprint) it screens.
 	MsgHello MsgType = "hello"
 	// MsgHelloAck accepts the Hello, echoing the identity and naming the
 	// site.
@@ -92,19 +93,18 @@ const (
 // model version) instead of retrying.
 var ErrModelMismatch = errors.New("netfloor: calibration model mismatch")
 
-// Hello is the lot identity both sides must agree on before any device is
-// assigned.
+// Hello is the floor identity both sides must agree on before any device
+// is assigned: the engine fingerprint, fault load and device-pool size.
+// Lot seeds are not part of it; each Assign names its own.
 type Hello struct {
 	Version     int     `json:"version"`
-	LotSeed     int64   `json:"lot_seed"`
 	Devices     int     `json:"devices"`
 	FaultP      float64 `json:"fault_p"`
 	Fingerprint uint64  `json:"fingerprint"`
 	// MultiLot announces a multi-lot coordinator (internal/lotserver): the
 	// connection will carry assignments for many lots, each Assign naming
-	// its own lot seed. The site then pins only the engine fingerprint,
-	// fault load and device-pool size — LotSeed is per-assignment, not
-	// per-connection — and keys its result cache by (seed, index).
+	// its own lot seed. Sites refuse a Hello without it — it comes from an
+	// older single-lot coordinator that pinned one lot seed per connection.
 	MultiLot bool `json:"multi_lot,omitempty"`
 }
 
@@ -119,7 +119,7 @@ type Envelope struct {
 	Site   string              `json:"site,omitempty"`
 	Err    string              `json:"err,omitempty"`
 	// Seed is the assignment's lot seed and Lot its lot ID — set on
-	// Assign/Result frames of a multi-lot connection, zero otherwise.
+	// Assign/Result frames, zero otherwise.
 	Seed int64  `json:"seed,omitempty"`
 	Lot  string `json:"lot,omitempty"`
 	// Code classifies a MsgError (see the Code* constants); empty on

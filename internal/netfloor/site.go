@@ -20,10 +20,9 @@ import (
 // so re-screening a re-delivered assignment is harmless; the result cache
 // just makes it instant.
 //
-// A site serves both floors: the single-lot Coordinator pins the lot seed
-// in the handshake, while a multi-lot server (internal/lotserver) opens
-// the connection with Hello.MultiLot and names a lot seed on every Assign
-// — the cache is keyed by (seed, index), so lots never collide.
+// A site speaks only the lot server's multi-lot handshake
+// (Hello.MultiLot): every Assign names its own lot seed, and the cache is
+// keyed by (seed, index, model version), so lots never collide.
 type Site struct {
 	// Name identifies the site in coordinator reports (default the
 	// listener address).
@@ -36,8 +35,6 @@ type Site struct {
 	// Faults is the insertion fault model (may be nil); its TotalP must
 	// match the coordinator's.
 	Faults *floor.FaultModel
-	// LotSeed is the lot's device-seed root.
-	LotSeed int64
 	// HeartbeatInterval is how often the site beacons while screening or
 	// idle (default 1s).
 	HeartbeatInterval time.Duration
@@ -46,7 +43,7 @@ type Site struct {
 	// connection (default 10 × HeartbeatInterval).
 	IdleTimeout time.Duration
 	// DeviceTimeout bounds one device's screening wall time (0 = none),
-	// mirroring lotrun.Options.DeviceTimeout.
+	// mirroring lotserver.Options.DeviceTimeout.
 	DeviceTimeout time.Duration
 	// MaxBatch is the most devices this site accepts per batched
 	// assignment, advertised to the coordinator during the handshake. 0 or
@@ -185,10 +182,10 @@ func (s *Site) hello() Hello {
 	}
 	return Hello{
 		Version:     ProtocolVersion,
-		LotSeed:     s.LotSeed,
 		Devices:     len(s.Lot),
 		FaultP:      faultP,
 		Fingerprint: s.Engine.Fingerprint(),
+		MultiLot:    true,
 	}
 }
 
@@ -249,33 +246,29 @@ func (s *Site) Serve(ctx context.Context, ln net.Listener) error {
 }
 
 // handshake validates the coordinator's Hello against this site's
-// identity. A multi-lot coordinator pins the engine fingerprint, fault
-// load and device-pool size but names its lot seeds per-assignment, so
-// LotSeed is not compared in that mode. A refusal carries a typed code:
-// a pure fingerprint disagreement is CodeModelMismatch (the peer needs a
-// different calibration version, an upgrade problem), anything else is
-// CodeIdentityMismatch (a misconfigured floor).
-func (s *Site) handshake(h *Hello) (multiLot bool, code string, err error) {
+// identity: the engine fingerprint, fault load and device-pool size, with
+// lot seeds named per assignment. A Hello without MultiLot comes from an
+// older single-lot coordinator and is refused. A refusal carries a typed
+// code: a pure fingerprint disagreement is CodeModelMismatch (the peer
+// needs a different calibration version, an upgrade problem), anything
+// else is CodeIdentityMismatch (a misconfigured floor).
+func (s *Site) handshake(h *Hello) (code string, err error) {
 	want := s.hello()
-	// Normalize away the fields the mode legitimately leaves open, then
-	// compare what remains.
-	same := *h
-	same.MultiLot, same.LotSeed = false, want.LotSeed
-	if !h.MultiLot && h.LotSeed != want.LotSeed {
-		return false, CodeIdentityMismatch,
-			fmt.Errorf("identity mismatch: coordinator %+v, site %+v", *h, want)
+	if !h.MultiLot {
+		return CodeIdentityMismatch,
+			fmt.Errorf("single-lot hello refused: this site serves only multi-lot coordinators")
 	}
-	if same == want {
-		return h.MultiLot, "", nil
+	if *h == want {
+		return "", nil
 	}
-	onlyFP := same
+	onlyFP := *h
 	onlyFP.Fingerprint = want.Fingerprint
 	if onlyFP == want {
-		return false, CodeModelMismatch,
+		return CodeModelMismatch,
 			fmt.Errorf("calibration model mismatch: coordinator fingerprint %016x, site %016x",
 				h.Fingerprint, want.Fingerprint)
 	}
-	return false, CodeIdentityMismatch,
+	return CodeIdentityMismatch,
 		fmt.Errorf("identity mismatch: coordinator %+v, site %+v", *h, want)
 }
 
@@ -304,7 +297,7 @@ func (s *Site) ServeConn(ctx context.Context, conn net.Conn) error {
 	if env.Type != MsgHello || env.Hello == nil {
 		return fmt.Errorf("netfloor: expected hello, got %s", env.Type)
 	}
-	multiLot, hcode, herr := s.handshake(env.Hello)
+	hcode, herr := s.handshake(env.Hello)
 	if herr != nil {
 		if werr := mc.Write(&Envelope{Type: MsgError, Site: s.Name, Code: hcode, Err: herr.Error()}, s.heartbeat()); werr != nil {
 			s.record(func(st *ServeStats) { st.ErrorSendFails++ })
@@ -312,7 +305,7 @@ func (s *Site) ServeConn(ctx context.Context, conn net.Conn) error {
 		}
 		return fmt.Errorf("netfloor: %s", herr)
 	}
-	ack := *env.Hello // echo the coordinator's identity, multi-lot or not
+	ack := *env.Hello // echo the coordinator's identity
 	if err := mc.Write(&Envelope{Type: MsgHelloAck, Hello: &ack, Site: s.Name, Batch: s.maxBatch()}, s.idle()); err != nil {
 		return err
 	}
@@ -405,7 +398,7 @@ func (s *Site) ServeConn(ctx context.Context, conn net.Conn) error {
 				}
 				eng = cached
 			}
-			if err := s.serveAssign(ctx, mc, env, eng, multiLot); err != nil {
+			if err := s.serveAssign(ctx, mc, env, eng); err != nil {
 				return err
 			}
 		case MsgModel:
@@ -425,7 +418,7 @@ func (s *Site) ServeConn(ctx context.Context, conn net.Conn) error {
 				continue
 			}
 			for _, q := range queued {
-				if err := s.serveAssign(ctx, mc, q, eng, multiLot); err != nil {
+				if err := s.serveAssign(ctx, mc, q, eng); err != nil {
 					return err
 				}
 			}
@@ -440,6 +433,11 @@ func (s *Site) ServeConn(ctx context.Context, conn net.Conn) error {
 			// may add message types old sites can skip.
 		}
 	}
+}
+
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // announceDrain tells the peer this site is going away — a courtesy
@@ -482,16 +480,12 @@ func (s *Site) assignOutOfRange(env *Envelope) (int, bool) {
 // serveAssign screens one assignment — a single device or a batch — on the
 // resolved engine and writes one Result frame per device, all under the
 // assignment's Seq. The returned error is connection-fatal.
-func (s *Site) serveAssign(ctx context.Context, mc *MsgConn, env *Envelope, eng *floor.Engine, multiLot bool) error {
-	seed := s.LotSeed
-	if multiLot {
-		seed = env.Seed
-	}
+func (s *Site) serveAssign(ctx context.Context, mc *MsgConn, env *Envelope, eng *floor.Engine) error {
 	idxs := env.Devices
 	if len(idxs) == 0 {
 		idxs = []int{env.Device}
 	}
-	results, err := s.screenMany(ctx, eng, seed, idxs, env.Model)
+	results, err := s.screenMany(ctx, eng, env.Seed, idxs, env.Model)
 	if err != nil {
 		// The site is shutting down mid-batch: the results are
 		// truncations, not outcomes. Never send them — the coordinator
@@ -511,7 +505,9 @@ func (s *Site) serveAssign(ctx context.Context, mc *MsgConn, env *Envelope, eng 
 // screens the misses through the engine's batched kernel (or the serial
 // supervised path when only one is missing). Cached and fresh results come
 // back index-aligned with idxs; fresh complete results are cached with the
-// same first-writer-wins race discipline as screen.
+// first-writer-wins discipline when two connections race on a device: the
+// cache is shared across connections on purpose, so a coordinator that
+// reconnects after a partition gets the same answer instantly.
 func (s *Site) screenMany(ctx context.Context, eng *floor.Engine, seed int64, idxs []int, model int) ([]floor.DeviceResult, error) {
 	out := make([]floor.DeviceResult, len(idxs))
 	missPos := make([]int, 0, len(idxs))
@@ -633,44 +629,11 @@ func (s *Site) CachedModels() []int {
 	return out
 }
 
-// screen produces the device's result, from cache when this site has
-// already screened it (a re-delivered assignment after a reconnect or a
-// duplicated frame). The cache is shared across connections on purpose:
-// the coordinator that reconnects after a partition gets the same answer
-// instantly.
-func (s *Site) screen(ctx context.Context, eng *floor.Engine, seed int64, idx, model int) floor.DeviceResult {
-	key := siteCacheKey{seed: seed, idx: idx, model: model}
-	s.mu.Lock()
-	if res, ok := s.cache[key]; ok {
-		s.mu.Unlock()
-		return res
-	}
-	s.mu.Unlock()
-
-	res := ScreenSupervised(ctx, eng, seed, idx, s.Lot[idx], s.Faults, s.DeviceTimeout)
-	if res.Err != "" && ctx.Err() != nil {
-		return res // truncated by shutdown: never cache
-	}
-
-	s.mu.Lock()
-	if s.cache == nil {
-		s.cache = make(map[siteCacheKey]floor.DeviceResult)
-	}
-	if prev, ok := s.cache[key]; ok {
-		res = prev // two connections raced; keep the first
-	} else {
-		s.cache[key] = res
-	}
-	s.mu.Unlock()
-	return res
-}
-
 // ScreenSupervised mirrors lotrun's per-device supervision: a deadline
 // bounds the device's wall time and a recover() turns any panic escaping
 // the screening path into a fallback-binned device instead of a dead site.
-// The remote site, the coordinator's local fallback and the lot server's
-// local workers all screen through it, so a device bins identically
-// wherever it lands.
+// The remote site and the lot server's local workers both screen through
+// it, so a device bins identically wherever it lands.
 func ScreenSupervised(ctx context.Context, eng *floor.Engine, lotSeed int64, idx int,
 	d *core.Device, faults *floor.FaultModel, timeout time.Duration) (res floor.DeviceResult) {
 	res = floor.DeviceResult{Index: idx, CleanD: -1, TruePass: eng.TruePass(d.Specs)}

@@ -18,10 +18,12 @@ go build ./...
 # go test's default 10-minute per-package budget. -shuffle=on randomizes
 # test order so inter-test state dependencies cannot hide.
 go test -race -shuffle=on -timeout 45m ./...
-# Distributed-floor soak: repeat the netfloor suite under the race detector
-# so its timing-sensitive failover/partition paths see more than one
-# scheduling.
-go test -race -short -count=2 -timeout 30m ./internal/netfloor/
+# One-lot floor soak: repeat the netfloor and lotrun suites — one-lot
+# servers over fault-injected remote sites and over local workers — under
+# the race detector, so the timing-sensitive partition, failover,
+# fallback, exactly-once, kill-resume and bit-identity tests see more than
+# one scheduling.
+go test -race -short -count=2 -timeout 30m ./internal/netfloor/ ./internal/lotrun/
 # Multi-lot service soak: repeat the lotserver suite under the race
 # detector — admission races, concurrent drain, crash-restart-resume and
 # fair scheduling see more than one goroutine interleaving.
@@ -47,8 +49,8 @@ go test -race -count=2 -timeout 30m \
 go test -race -count=2 -timeout 30m ./internal/diskfault/
 go test -race -count=2 -timeout 30m -run 'Journal' ./internal/lotrun/
 # Batched-kernel bit-identity: the ScreenBatch determinism contract at
-# every layer — interleaved SoA kernel, batched acquirer, in-process
-# orchestrator, distributed floor, multi-lot server — under the race
+# every layer — interleaved SoA kernel, batched acquirer, one-lot server
+# on local workers and on remote sites, multi-lot server — under the race
 # detector. PropertyRandom covers the randomized interleaved-vs-serial
 # and mulOccInto-vs-Mul property suites.
 go test -race -count=1 -timeout 30m \
