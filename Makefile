@@ -48,10 +48,13 @@ lotsoak:
 # Versioned-calibration lifecycle soak: the model registry, shadow
 # scoring, canary pinning, automatic rollback and journal version pinning
 # repeated under the race detector — the rollout state machine and the
-# shadow worker race against live commits and kill-restart.
+# shadow worker race against live commits and kill-restart — with the
+# drift watchdog's tests: in-control ARL on real lna gate distances,
+# index-order (deterministic) alarms, one drift-staged candidate per
+# incumbent, and the gate's train_z baseline round-trip.
 rolloutsoak:
 	$(GO) test -race -count=2 -timeout 30m ./internal/modelreg/
-	$(GO) test -race -count=2 -timeout 30m -run 'Rollout|Shadow|Canary|Drift|Model' ./internal/lotserver/ ./internal/lotrun/
+	$(GO) test -race -count=2 -timeout 30m -run 'Rollout|Shadow|Canary|Drift|Model' ./internal/lotserver/ ./internal/lotrun/ ./internal/floor/
 
 # Storage-chaos soak: seeded disk faults (EIO, torn writes, ENOSPC,
 # corrupt renames, latency) composed with network faults and transient

@@ -386,6 +386,10 @@ func runRolloutControl(addr, op string, version int, reason string) {
 	if rs.Recalibrations > 0 || rs.Rollbacks > 0 {
 		fmt.Printf("      drift recalibrations: %d, rollbacks: %d\n", rs.Recalibrations, rs.Rollbacks)
 	}
+	for _, p := range rs.DriftPending {
+		fmt.Printf("      drift candidate v%d pending on v%d: %d later alarms counted against it\n",
+			p.Candidate, p.Incumbent, p.Alarms)
+	}
 }
 
 func printLimits(l rig.SpecLimits) {

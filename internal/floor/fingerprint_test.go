@@ -43,6 +43,39 @@ func TestFingerprintDiscriminates(t *testing.T) {
 	}
 }
 
+// TestDriftBaselineOutsideFingerprint: TrainZ feeds only the drift
+// watchdog, never a bin, so it stays out of the fingerprint — journals
+// and registries written before it existed keep resuming.
+func TestDriftBaselineOutsideFingerprint(t *testing.T) {
+	f := getFixture(t)
+	base := f.engine(true)
+	want := base.Fingerprint()
+	if len(base.Gate.TrainZ) == 0 {
+		t.Fatal("fixture gate has no TrainZ")
+	}
+	for name, trainZ := range map[string][]float64{
+		"nil":       nil,
+		"shifted":   shiftedCopy(base.Gate.TrainZ, 1e-6),
+		"truncated": base.Gate.TrainZ[:len(base.Gate.TrainZ)/2],
+	} {
+		e := f.engine(true)
+		g := *e.Gate
+		g.TrainZ = trainZ
+		e.Gate = &g
+		if got := e.Fingerprint(); got != want {
+			t.Errorf("TrainZ %s: fingerprint %x, want %x", name, got, want)
+		}
+	}
+}
+
+func shiftedCopy(v []float64, by float64) []float64 {
+	out := make([]float64, len(v))
+	for i, x := range v {
+		out[i] = x + by
+	}
+	return out
+}
+
 // TestTotalPDeterministic: TotalP sums a map — the sum must not depend on
 // Go's randomized map iteration order, because it is pinned in journal
 // headers and the distributed Hello handshake, where the last float bit

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/linalg"
 	"repro/internal/stat"
@@ -95,6 +96,11 @@ type Gate struct {
 	// the training set's own reduced-space distances — the baseline the
 	// drift watchdog standardizes production distances against.
 	TrainMeanD, TrainSigmaD float64
+	// TrainZ is the training set's own distances standardized by
+	// TrainMeanD/TrainSigmaD, sorted ascending: the empirical distribution
+	// the drift watchdog ranks a production distance in. Screening never
+	// reads it, so it is left out of Engine.Fingerprint.
+	TrainZ []float64
 
 	opt GateOptions
 }
@@ -163,6 +169,11 @@ func FitGate(signatures [][]float64, opt GateOptions) (*Gate, error) {
 	}
 	g.TrainMeanD = stat.Mean(dTrain)
 	g.TrainSigmaD = math.Max(stat.StdDev(dTrain), 1e-15)
+	g.TrainZ = make([]float64, n)
+	for i, d := range dTrain {
+		g.TrainZ[i] = (d - g.TrainMeanD) / g.TrainSigmaD
+	}
+	sort.Float64s(g.TrainZ)
 	g.resSigma = math.Max(stat.RMS(resTrain), 1e-15)
 	for i := range resTrain {
 		resTrain[i] /= g.resSigma
@@ -258,10 +269,10 @@ func (g *Gate) Classify(sig []float64) (Verdict, float64) {
 }
 
 // gateState is the serialized form of a Gate: every field that Classify,
-// Distance, and the engine fingerprint depend on, exported for JSON. The
-// float64 values round-trip exactly (encoding/json emits the shortest
-// representation that parses back to the same bits), so a decoded gate
-// classifies bit-identically to the original.
+// Distance, the engine fingerprint and the drift watchdog depend on,
+// exported for JSON. The float64 values round-trip exactly (encoding/json
+// emits the shortest representation that parses back to the same bits),
+// so a decoded gate classifies bit-identically to the original.
 type gateState struct {
 	Mean       []float64      `json:"mean"`
 	Sigma      []float64      `json:"sigma"`
@@ -274,6 +285,7 @@ type gateState struct {
 	InvalidRes float64        `json:"invalid_res"`
 	TrainMeanD float64        `json:"train_mean_d"`
 	TrainSigD  float64        `json:"train_sigma_d"`
+	TrainZ     []float64      `json:"train_z,omitempty"`
 	Opt        GateOptions    `json:"opt"`
 }
 
@@ -284,7 +296,7 @@ func (g *Gate) MarshalJSON() ([]byte, error) {
 		Basis: g.basis, CompSigma: g.compSigma, ResSigma: g.resSigma,
 		SuspectD: g.SuspectD, InvalidD: g.InvalidD,
 		SuspectRes: g.SuspectRes, InvalidRes: g.InvalidRes,
-		TrainMeanD: g.TrainMeanD, TrainSigD: g.TrainSigmaD,
+		TrainMeanD: g.TrainMeanD, TrainSigD: g.TrainSigmaD, TrainZ: g.TrainZ,
 		Opt: g.opt,
 	})
 }
@@ -306,12 +318,17 @@ func (g *Gate) UnmarshalJSON(data []byte) error {
 	if st.ResSigma <= 0 {
 		return fmt.Errorf("floor: decoded gate residual sigma %v out of range", st.ResSigma)
 	}
+	// Artifacts written before the watchdog ranked distances carry no
+	// train_z; a present one must be sorted for the rank lookup.
+	if !sort.Float64sAreSorted(st.TrainZ) {
+		return fmt.Errorf("floor: decoded gate train_z is not sorted")
+	}
 	*g = Gate{
 		Mean: st.Mean, Sigma: st.Sigma,
 		basis: st.Basis, compSigma: st.CompSigma, resSigma: st.ResSigma,
 		SuspectD: st.SuspectD, InvalidD: st.InvalidD,
 		SuspectRes: st.SuspectRes, InvalidRes: st.InvalidRes,
-		TrainMeanD: st.TrainMeanD, TrainSigmaD: st.TrainSigD,
+		TrainMeanD: st.TrainMeanD, TrainSigmaD: st.TrainSigD, TrainZ: st.TrainZ,
 		opt: st.Opt,
 	}
 	return nil

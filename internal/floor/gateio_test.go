@@ -2,8 +2,13 @@ package floor
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func synthSignatures(n, m int, seed int64) [][]float64 {
@@ -68,5 +73,107 @@ func TestGateUnmarshalRejectsGarbage(t *testing.T) {
 		if err := json.Unmarshal([]byte(bad), &g); err == nil {
 			t.Fatalf("unmarshal %q succeeded, want error", bad)
 		}
+	}
+}
+
+// TestDriftBaselineTrainZRoundTrip: FitGate stores the training set's own
+// distances, standardized and sorted, as the drift watchdog's rank
+// baseline, and the artifact form carries them bit-exactly.
+func TestDriftBaselineTrainZRoundTrip(t *testing.T) {
+	sigs := synthSignatures(24, 10, 3)
+	g, err := FitGate(sigs, GateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, len(sigs))
+	for i, s := range sigs {
+		d, _ := g.Distance(s)
+		want[i] = (d - g.TrainMeanD) / g.TrainSigmaD
+	}
+	sort.Float64s(want)
+	if !reflect.DeepEqual(g.TrainZ, want) {
+		t.Fatalf("TrainZ %v, want the sorted standardized training distances %v", g.TrainZ, want)
+	}
+
+	data, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Gate
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if len(back.TrainZ) != len(g.TrainZ) {
+		t.Fatalf("train_z: %d values back, want %d", len(back.TrainZ), len(g.TrainZ))
+	}
+	for i := range g.TrainZ {
+		if math.Float64bits(back.TrainZ[i]) != math.Float64bits(g.TrainZ[i]) {
+			t.Fatalf("train_z[%d]: %v != %v after round-trip", i, back.TrainZ[i], g.TrainZ[i])
+		}
+	}
+
+	// A scribbled, unsorted baseline would break the rank lookup.
+	var st map[string]json.RawMessage
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	st["train_z"] = json.RawMessage(`[1,0]`)
+	bad, _ := json.Marshal(st)
+	if err := json.Unmarshal(bad, &back); err == nil {
+		t.Fatal("unsorted train_z decoded, want error")
+	}
+}
+
+// TestDriftBaselinePreChangeArtifact: a gate artifact written before the
+// rank baseline existed has no train_z. It must still decode, fingerprint
+// the same, and screen a lot bit-identically; only the watchdog falls
+// back to the raw standardized distance.
+func TestDriftBaselinePreChangeArtifact(t *testing.T) {
+	f := getFixture(t)
+	data, err := json.Marshal(f.gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st map[string]json.RawMessage
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st["train_z"]; !ok {
+		t.Fatal("artifact carries no train_z")
+	}
+	delete(st, "train_z")
+	old, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Gate
+	if err := json.Unmarshal(old, &back); err != nil {
+		t.Fatalf("pre-change artifact: %v", err)
+	}
+	if back.TrainZ != nil {
+		t.Fatalf("pre-change artifact decoded a TrainZ: %v", back.TrainZ)
+	}
+
+	eng := f.engine(true)
+	oldEng := f.engine(true)
+	oldEng.Gate = &back
+	if eng.Fingerprint() != oldEng.Fingerprint() {
+		t.Fatalf("fingerprint %x differs from the pre-change artifact's %x", eng.Fingerprint(), oldEng.Fingerprint())
+	}
+	lot, err := core.GeneratePopulation(rand.New(rand.NewSource(5)), f.model, 24, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := DefaultFaultModel(0.15)
+	want, err := eng.RunLot(7, lot, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := oldEng.RunLot(7, lot, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the pre-change artifact's gate screens the lot differently")
 	}
 }

@@ -201,11 +201,22 @@ func (s *Server) shadowWorker() {
 	}
 }
 
+// driftCandidate is the one drift response an incumbent version gets: a
+// retrain in flight (version 0) or the candidate it staged, plus the
+// alarms counted against it instead of retraining again.
+type driftCandidate struct {
+	version int
+	alarms  int
+}
+
 // onDriftAlarm is the service-level drift response: an alarm on a
 // canary-pinned lot is direct evidence against the candidate and rolls
 // it back; any other alarm, with a Recalibrate hook configured, stages a
 // fresh candidate into the registry off the hot path — the screening
-// world never stops.
+// world never stops. Each incumbent version gets at most one such
+// candidate until it enters a rollout or is demoted; later alarms on the
+// incumbent's lots are counted against it rather than starting another
+// retrain, so a drifting (or misread) process cannot storm the registry.
 func (s *Server) onDriftAlarm(l *lot, a lotrun.DriftAlarm) {
 	if sc := s.currentShadow(); sc != nil && l.modelVersion == sc.Version() {
 		s.rollback(sc, fmt.Sprintf("drift alarm (%s) on canary lot %s at device %d",
@@ -215,41 +226,62 @@ func (s *Server) onDriftAlarm(l *lot, a lotrun.DriftAlarm) {
 	if s.opt.Recalibrate == nil || s.opt.Registry == nil {
 		return
 	}
+	incumbent := l.modelVersion
 	s.romu.Lock()
-	if s.staging {
+	if dc := s.drift[incumbent]; dc != nil {
+		dc.alarms++
+		v, n := dc.version, dc.alarms
 		s.romu.Unlock()
-		return // one retrain at a time; later alarms ride the staged result
+		if v == 0 {
+			s.logf("lot %s: drift alarm (%s) at device %d counted against the retrain in flight for v%d (%d alarms)",
+				l.spec.ID, a.Detector, a.Device, incumbent, n)
+		} else {
+			s.logf("lot %s: drift alarm (%s) at device %d counted against pending candidate v%d (%d alarms since staged)",
+				l.spec.ID, a.Detector, a.Device, v, n)
+		}
+		return
 	}
-	s.staging = true
+	dc := &driftCandidate{}
+	s.drift[incumbent] = dc
 	s.romu.Unlock()
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		defer func() {
-			s.romu.Lock()
-			s.staging = false
-			s.romu.Unlock()
-		}()
-		cal, gate, err := s.opt.Recalibrate(l.spec.ID, a)
-		if err != nil {
-			s.logf("lot %s: recalibration after drift alarm failed: %v", l.spec.ID, err)
-			return
-		}
-		if gate == nil {
-			gate = l.eng.Gate
-		}
-		note := fmt.Sprintf("drift alarm (%s) on lot %s at device %d (ewma %.3f, cusum %.3f)",
-			a.Detector, l.spec.ID, a.Device, a.EWMA, a.CUSUM)
-		v, err := s.StageCandidate(cal, gate, note)
-		if err != nil {
-			s.logf("lot %s: staging recalibrated candidate failed: %v", l.spec.ID, err)
-			return
-		}
+		v, err := s.stageRecalibration(l, a)
 		s.romu.Lock()
+		defer s.romu.Unlock()
+		if err != nil {
+			// Free the slot: the next alarm may retry the retrain.
+			if s.drift[incumbent] == dc {
+				delete(s.drift, incumbent)
+			}
+			return
+		}
+		dc.version = v
 		s.recals++
-		s.romu.Unlock()
-		s.logf("lot %s: drift alarm staged candidate v%d", l.spec.ID, v)
 	}()
+}
+
+// stageRecalibration runs the Recalibrate hook for one alarm and stages
+// its result. Failures are logged and returned.
+func (s *Server) stageRecalibration(l *lot, a lotrun.DriftAlarm) (int, error) {
+	cal, gate, err := s.opt.Recalibrate(l.spec.ID, a)
+	if err != nil {
+		s.logf("lot %s: recalibration after drift alarm failed: %v", l.spec.ID, err)
+		return 0, err
+	}
+	if gate == nil {
+		gate = l.eng.Gate
+	}
+	note := fmt.Sprintf("drift alarm (%s) on lot %s at device %d (ewma %.3f, cusum %.3f)",
+		a.Detector, l.spec.ID, a.Device, a.EWMA, a.CUSUM)
+	v, err := s.StageCandidate(cal, gate, note)
+	if err != nil {
+		s.logf("lot %s: staging recalibrated candidate failed: %v", l.spec.ID, err)
+		return 0, err
+	}
+	s.logf("lot %s: drift alarm staged candidate v%d", l.spec.ID, v)
+	return v, nil
 }
 
 // rollback demotes the candidate sc is scoring, recording its divergence
@@ -312,6 +344,14 @@ func (s *Server) BeginShadow(version int) error {
 	}
 	s.romu.Lock()
 	s.shadow = modelreg.NewShadowScorer(version, eng, s.opt.ShadowBounds)
+	for incumbent, dc := range s.drift {
+		if dc.version == version {
+			// The drift response is in the operator's hands now (and a
+			// demotion only ever follows a rollout); the incumbent may
+			// stage a fresh candidate on its next alarm.
+			delete(s.drift, incumbent)
+		}
+	}
 	s.romu.Unlock()
 	s.logf("rollout: candidate v%d entered shadow", version)
 	return nil
@@ -420,6 +460,18 @@ type RolloutStatus struct {
 	// Rollbacks the automatic (or operator) demotions since boot.
 	Recalibrations int `json:"recalibrations,omitempty"`
 	Rollbacks      int `json:"rollbacks,omitempty"`
+	// DriftPending lists the drift responses waiting for an operator
+	// rollout, at most one per incumbent version.
+	DriftPending []DriftPending `json:"drift_pending,omitempty"`
+}
+
+// DriftPending is one incumbent version's drift-staged candidate and the
+// later drift alarms counted against it instead of retraining.
+type DriftPending struct {
+	Incumbent int `json:"incumbent"`
+	// Candidate is the staged version (0 while its retrain is in flight).
+	Candidate int `json:"candidate"`
+	Alarms    int `json:"alarms"`
 }
 
 // RolloutStatus snapshots the versioned-calibration lifecycle.
@@ -445,6 +497,13 @@ func (s *Server) RolloutStatus() RolloutStatus {
 	}
 	s.romu.Lock()
 	rs.Recalibrations, rs.Rollbacks = s.recals, s.rollbacks
+	for incumbent, dc := range s.drift {
+		rs.DriftPending = append(rs.DriftPending,
+			DriftPending{Incumbent: incumbent, Candidate: dc.version, Alarms: dc.alarms})
+	}
 	s.romu.Unlock()
+	sort.Slice(rs.DriftPending, func(i, j int) bool {
+		return rs.DriftPending[i].Incumbent < rs.DriftPending[j].Incumbent
+	})
 	return rs
 }

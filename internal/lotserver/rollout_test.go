@@ -12,8 +12,10 @@ import (
 	"math/rand"
 	"net"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -469,6 +471,118 @@ func TestDriftStagesRecalibratedCandidate(t *testing.T) {
 	defer s2.Kill()
 	if res := runLotOn(t, s2, LotSpec{ID: "noreg", Seed: 31, Devices: 36}); len(res.Alarms) == 0 {
 		t.Fatal("no-registry drift lot raised no alarm")
+	}
+}
+
+// TestDriftRecalibratesOncePerIncumbent: a drifted incumbent raises an
+// alarm every few devices on each of two concurrent lots, but gets one
+// retrain and one staged candidate; later alarms are counted against
+// that candidate (status and log), not retrained. Starting the
+// candidate's rollout frees the slot.
+func TestDriftRecalibratesOncePerIncumbent(t *testing.T) {
+	f := getFixture(t)
+	pool := testPool(t, f, 36)
+	reg, err := modelreg.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := f.engine()
+	drifted := *f.gate
+	drifted.TrainMeanD -= 20 * f.gate.TrainSigmaD
+	eng.Gate = &drifted
+
+	var recals atomic.Int64
+	var mu sync.Mutex
+	var logged []string
+	opt := serverOpts(f, pool, nil)
+	opt.Engine = eng
+	opt.LocalWorkers = 2
+	opt.Registry = reg
+	opt.ShadowBounds = looseBounds(1 << 30)
+	opt.Watchdog = lotrun.WatchdogConfig{MinSamples: 5}
+	opt.Recalibrate = func(string, lotrun.DriftAlarm) (*core.Calibration, *floor.Gate, error) {
+		recals.Add(1)
+		return f.cal, f.gate, nil
+	}
+	opt.Logf = func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	s, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Kill()
+	waitRecals := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for s.RolloutStatus().Recalibrations < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("recalibrations stuck at %d, want %d", s.RolloutStatus().Recalibrations, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// Two drifted lots at once: their collectors race to respond.
+	var handles []*LotHandle
+	for i, id := range []string{"storm-1", "storm-2"} {
+		h, err := s.Submit(context.Background(), LotSpec{ID: id, Seed: int64(31 + i), Devices: 36})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	alarms := 0
+	for _, h := range handles {
+		res, err := h.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		alarms += len(res.Alarms)
+	}
+	waitRecals(1)
+	if alarms < 4 {
+		t.Fatalf("20-sigma drift raised only %d alarms", alarms)
+	}
+	if n := recals.Load(); n != 1 {
+		t.Fatalf("Recalibrate ran %d times for one incumbent, want 1", n)
+	}
+	versions := reg.Versions()
+	if len(versions) != 1 {
+		t.Fatalf("registry holds %d staged versions %v, want exactly 1", len(versions), versions)
+	}
+	rs := s.RolloutStatus()
+	want := []DriftPending{{Incumbent: 0, Candidate: versions[0], Alarms: alarms - 1}}
+	if rs.Recalibrations != 1 || !reflect.DeepEqual(rs.DriftPending, want) {
+		t.Fatalf("rollout status: recalibrations %d, pending %+v; want 1, %+v",
+			rs.Recalibrations, rs.DriftPending, want)
+	}
+	mu.Lock()
+	counted := 0
+	for _, line := range logged {
+		if strings.Contains(line, fmt.Sprintf("counted against pending candidate v%d", versions[0])) {
+			counted++
+		}
+	}
+	mu.Unlock()
+	if counted == 0 {
+		t.Fatal("no log line counts an alarm against the pending candidate")
+	}
+
+	// Once the candidate enters a rollout the incumbent's next alarm may
+	// stage a fresh one.
+	if err := s.BeginShadow(versions[0]); err != nil {
+		t.Fatal(err)
+	}
+	if rs := s.RolloutStatus(); len(rs.DriftPending) != 0 {
+		t.Fatalf("pending after the candidate entered shadow: %+v", rs.DriftPending)
+	}
+	runLotOn(t, s, LotSpec{ID: "storm-3", Seed: 33, Devices: 36})
+	waitRecals(2)
+	if n, v := recals.Load(), len(reg.Versions()); n != 2 || v != 2 {
+		t.Fatalf("after the rollout began: %d retrains, %d versions; want 2, 2", n, v)
 	}
 }
 

@@ -181,11 +181,13 @@ type Options struct {
 	// candidate during the canary stage (default 0.25). The pick is a pure
 	// function of the lot ID, so a kill-restart pins the same lots.
 	CanaryFraction float64
-	// Recalibrate, when set with Registry, turns each drift alarm into a
+	// Recalibrate, when set with Registry, turns a drift alarm into a
 	// staged candidate version instead of stopping the world: the retrain
 	// runs off the hot path and the result enters the registry for an
-	// operator (or policy) to roll out. Failures are logged and screening
-	// continues on the pinned models.
+	// operator (or policy) to roll out. It runs at most once per incumbent
+	// version until that candidate enters a rollout or is demoted; later
+	// alarms are counted against the candidate. Failures are logged and
+	// screening continues on the pinned models.
 	Recalibrate func(lotID string, a lotrun.DriftAlarm) (*core.Calibration, *floor.Gate, error)
 	// OnDrift, when set, receives every drift alarm with its lot ID.
 	OnDrift func(lotID string, a lotrun.DriftAlarm)
@@ -274,6 +276,7 @@ type lot struct {
 
 	journal  *lotrun.Journal
 	wd       *lotrun.Watchdog
+	wdNext   int // watchdog cursor: results below it have been observed
 	results  []*floor.DeviceResult
 	needed   int
 	replayed int
@@ -458,9 +461,9 @@ type Server struct {
 	payloads  map[int][]byte        // encoded artifacts for wire delivery
 	shadow    *modelreg.ShadowScorer
 	shadowQ   chan shadowItem
-	staging   bool // a drift-alarm recalibration is in flight
-	recals    int  // candidates staged from drift alarms
-	rollbacks int  // automatic demotions
+	drift     map[int]*driftCandidate // per incumbent version, see onDriftAlarm
+	recals    int                     // candidates staged from drift alarms
+	rollbacks int                     // automatic demotions
 }
 
 // shadowItem is one committed incumbent result queued for shadow scoring.
@@ -514,6 +517,7 @@ func New(opt Options) (*Server, error) {
 		lots:     make(map[string]*lot),
 		engines:  make(map[int]*floor.Engine),
 		payloads: make(map[int][]byte),
+		drift:    make(map[int]*driftCandidate),
 	}
 	if opt.Registry != nil {
 		s.shadowQ = make(chan shadowItem, 256)
@@ -804,6 +808,7 @@ func (s *Server) activateLocked(l *lot) {
 // guaranteed upstream (Dispatcher.Complete), so everything read here
 // commits.
 func (s *Server) runLot(l *lot) {
+	s.observeDrift(l) // replayed devices: the same stream as the uninterrupted lot
 	received := 0
 	for received < l.needed {
 		select {
@@ -917,19 +922,38 @@ func (s *Server) commit(l *lot, res floor.DeviceResult) {
 	s.mu.Lock()
 	s.devices++
 	s.mu.Unlock()
-	if l.wd != nil && res.CleanD >= 0 {
-		if alarm := l.wd.Observe(res.Index, res.CleanD); alarm != nil {
-			l.mu.Lock()
-			l.alarms = append(l.alarms, *alarm)
-			l.mu.Unlock()
-			s.logf("lot %s: drift alarm (%s) at device %d", l.spec.ID, alarm.Detector, alarm.Device)
-			if s.opt.OnDrift != nil {
-				s.opt.OnDrift(l.spec.ID, *alarm)
-			}
-			s.onDriftAlarm(l, *alarm)
-		}
-	}
+	s.observeDrift(l)
 	s.feedShadow(l, res)
+}
+
+// observeDrift advances the lot's watchdog cursor over the unbroken
+// prefix of committed (or replayed) results, feeding accepted-capture
+// distances in device-index order. A lot's alarms are therefore a pure
+// function of (lot seed, pool, model version): worker count, batch size,
+// delivery order and crash/resume history cannot move them. Runs only on
+// the lot's collector goroutine.
+func (s *Server) observeDrift(l *lot) {
+	if l.wd == nil {
+		return
+	}
+	for ; l.wdNext < len(l.results) && l.results[l.wdNext] != nil; l.wdNext++ {
+		r := l.results[l.wdNext]
+		if r.CleanD < 0 {
+			continue
+		}
+		alarm := l.wd.Observe(r.Index, r.CleanD)
+		if alarm == nil {
+			continue
+		}
+		l.mu.Lock()
+		l.alarms = append(l.alarms, *alarm)
+		l.mu.Unlock()
+		s.logf("lot %s: drift alarm (%s) at device %d", l.spec.ID, alarm.Detector, alarm.Device)
+		if s.opt.OnDrift != nil {
+			s.opt.OnDrift(l.spec.ID, *alarm)
+		}
+		s.onDriftAlarm(l, *alarm)
+	}
 }
 
 // finalize builds the completed lot's report — folding results in index

@@ -30,9 +30,12 @@ go test -race -short -count=2 -timeout 30m ./internal/netfloor/ ./internal/lotru
 go test -race -count=2 -timeout 30m ./internal/lotserver/
 # Versioned-calibration lifecycle soak: the model registry, shadow scoring,
 # canary pinning, automatic rollback and journal version pinning repeated
-# under the race detector.
+# under the race detector, with the drift watchdog's tests: in-control
+# ARL on real lna gate distances, index-order (deterministic) alarms,
+# one drift-staged candidate per incumbent, and the gate's train_z
+# baseline round-trip.
 go test -race -count=2 -timeout 30m ./internal/modelreg/
-go test -race -count=2 -timeout 30m -run 'Rollout|Shadow|Canary|Drift|Model' ./internal/lotserver/ ./internal/lotrun/
+go test -race -count=2 -timeout 30m -run 'Rollout|Shadow|Canary|Drift|Model' ./internal/lotserver/ ./internal/lotrun/ ./internal/floor/
 # Storage-chaos soak: seeded disk faults (EIO, torn writes, ENOSPC,
 # corrupt renames, latency) composed with network faults and transient
 # worker panics over a multi-lot server run, under the race detector.
