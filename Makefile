@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all fmt fmtcheck vet build test race netsoak lotsoak rolloutsoak chaossoak bench benchguard profile ci
+.PHONY: all fmt fmtcheck vet build test race netsoak lotsoak rolloutsoak chaossoak speedup bench profile ci
 
 all: build
 
@@ -84,24 +84,23 @@ bench:
 	@echo "--- BENCH_server.json"; cat BENCH_server.json
 	@echo "--- BENCH_batch.json"; cat BENCH_batch.json
 
-# Bench-regression gate: a stable ScreenBatch sweep followed by the
-# guard, which fails if ns/device at the guarded batch sizes exceeds
-# scripts/bench_baseline.json by >20% (an accidental fallback from the
-# interleaved kernel to the serial tail is a >50% slowdown and trips it
-# immediately).
-benchguard:
-	$(GO) test -run '^$$' -bench '^BenchmarkScreenBatch$$' -benchtime 3x .
-	$(GO) run ./scripts/benchguard
+# Batched-kernel speed gate: a same-process ratio, so it holds on any
+# host — K=16 ScreenBatch must be >= 5x faster per device than the serial
+# ScreenDevice loop on one lot (an accidental fallback to the per-device
+# path reads ~1x). Not under -race, which distorts the ratio.
+speedup:
+	$(GO) test -count=1 -run '^TestScreenBatchSpeedup$$' ./internal/floor/
 
 # CPU profile of the batched production floor: build sigtest, screen a
-# 200-device behavioral lot at -batch 16 — one tile of the
-# device-interleaved SoA kernel, so the interleaved hot loops (runTile,
-# macPlanes, macPairRealLO, firDecimateTile) show up by name — and print
-# the hottest frames. floor.pprof is left behind for `go tool pprof`
-# drill-down; swap -batch 16 for -batch 1 to profile the serial path.
+# 200-device behavioral lot on a 2-site one-lot server — batches of
+# floor.DefaultBatch (16) devices, one tile of the device-interleaved SoA
+# kernel, so the interleaved hot loops (runTile, macPlanes,
+# macPairRealLO, firDecimateTile) show up by name — and print the hottest
+# frames. floor.pprof is left behind for `go tool pprof` drill-down; drop
+# -sites 2 to profile the serial reference (Engine.RunLot).
 profile:
 	$(GO) build -o bin/sigtest ./cmd/sigtest
-	./bin/sigtest -dut rf2401 -quick -produce 200 -faults -batch 16 -cpuprofile floor.pprof
+	./bin/sigtest -dut rf2401 -quick -produce 200 -faults -sites 2 -cpuprofile floor.pprof
 	$(GO) tool pprof -top -nodecount 15 bin/sigtest floor.pprof
 
-ci: fmtcheck vet build race netsoak lotsoak rolloutsoak chaossoak
+ci: fmtcheck vet build race netsoak lotsoak rolloutsoak chaossoak speedup

@@ -35,10 +35,9 @@ var pr8Baseline = map[string]float64{
 
 // BenchmarkScreenBatch sweeps the kernel batch size over one lot and
 // writes the throughput table to BENCH_batch.json. The k=1 sub-benchmark
-// is the serial ScreenDevice loop — exactly what the lot server's local
-// workers and remote sites execute at batch size 1 — so the
-// reported speedups are the real floor-throughput gain of raising the
-// batch size. The JSON is only written when the whole sweep ran, so a
+// is the serial ScreenDevice loop, the reference RunLot runs, so the
+// reported speedups are the kernel-throughput gain of batching over the
+// serial path. The JSON is only written when the whole sweep ran, so a
 // filtered `-bench` invocation can never clobber the file with a partial
 // table.
 func BenchmarkScreenBatch(b *testing.B) {

@@ -71,7 +71,6 @@ func main() {
 	maxQueued := flag.Int("max-queued", 0, "max admitted-but-waiting lots before shedding (default 8)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "liveness beacon period")
 	drainWait := flag.Duration("drain", 2*time.Minute, "graceful shutdown budget before forcing exit")
-	batch := flag.Int("batch", 1, "devices per batched kernel call for local workers and batch-capable sites (bins are bit-identical at every batch size)")
 	flag.Parse()
 
 	if *faultP < 0 || *faultP > 1 {
@@ -88,9 +87,6 @@ func main() {
 	}
 	if *canary <= 0 || *canary > 1 {
 		usageFail("-canary %g is not a traffic fraction; need a value in (0, 1]", *canary)
-	}
-	if *batch < 1 {
-		usageFail("-batch %d is not a batch size; need an integer >= 1", *batch)
 	}
 	if *journalRetries < 1 {
 		usageFail("-journal-retries %d is not an attempt count; need an integer >= 1", *journalRetries)
@@ -128,7 +124,6 @@ func main() {
 		HeartbeatInterval: *heartbeat,
 		NetSeed:           *seed,
 		CanaryFraction:    *canary,
-		Batch:             *batch,
 		OnDrift: func(lotID string, a lotrun.DriftAlarm) {
 			fmt.Printf("lotserverd: DRIFT lot=%s device=%d detector=%s (ewma %.2f, cusum %.2f)\n",
 				lotID, a.Device, a.Detector, a.EWMA, a.CUSUM)

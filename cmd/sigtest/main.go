@@ -24,7 +24,7 @@
 //	sigtest -server :7200 -rollout promote
 //	sigtest -server :7200 -rollout demote -reason "bins shifted"
 //
-// -sites, -journal, -batch and -remote screen the lot as the only lot of
+// -sites, -journal and -remote screen the lot as the only lot of
 // an in-process lot server (internal/lotserver), the same run loop
 // lotserverd serves; the plain -faults run is the serial reference.
 package main
@@ -68,7 +68,6 @@ func main() {
 	rollout := flag.String("rollout", "", "calibration-rollout control op for -server: status, shadow, promote or demote")
 	version := flag.Int("version", 0, "staged calibration version for -rollout shadow")
 	reason := flag.String("reason", "", "demotion note for -rollout demote")
-	batch := flag.Int("batch", 1, "devices per batched screening kernel call (with -faults); bins are bit-identical at every batch size; with -remote, each site caps it by its own -batch")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (pprof format)")
 	flag.Parse()
 
@@ -93,12 +92,6 @@ func main() {
 		if journalDir, journalID, err = journalLot(*journal); err != nil {
 			usageFail("%v", err)
 		}
-	}
-	if *batch < 1 {
-		usageFail("-batch %d is not a batch size; need an integer >= 1", *batch)
-	}
-	if *batch > 1 && !*withFaults {
-		usageFail("-batch drives the floor engine's batched kernel; add -faults")
 	}
 	if *cpuprofile != "" {
 		pf, err := os.Create(*cpuprofile)
@@ -172,7 +165,7 @@ func main() {
 
 	fmt.Printf("[4/4] production run: %d devices against limits...\n", *produce)
 	if *withFaults {
-		runFaultyFloor(r, *sites, *batch, journalDir, journalID, remotes)
+		runFaultyFloor(r, *sites, journalDir, journalID, remotes)
 		return
 	}
 	var pass, escape, overkill int
@@ -202,20 +195,21 @@ func main() {
 // runFaultyFloor screens the production lot on the fault-tolerant floor:
 // seeded fault injection into the acquisition path, signature sanity
 // gating, bounded retests with backoff, and fallback to the conventional
-// spec test for devices that never capture cleanly. Bins are identical on
-// every floor — serial, local sites, remote sites, resumed — and at every
-// -batch size, which only changes how many devices share one kernel call.
-func runFaultyFloor(r *rig.Rig, sites, batch int, journalDir, journalID string, remotes []string) {
+// spec test for devices that never capture cleanly. The plain run is the
+// serial reference (Engine.RunLot); every other floor — local sites,
+// remote sites, resumed — screens batches of floor.DefaultBatch devices
+// per kernel call, with identical bins.
+func runFaultyFloor(r *rig.Rig, sites int, journalDir, journalID string, remotes []string) {
 	fmt.Printf("      fault-tolerant floor: %.0f%% per-insertion fault probability, gate with %d components\n",
 		100*r.Params.FaultP, r.Gate.Components())
-	if len(remotes) == 0 && sites == 1 && batch == 1 && journalDir == "" {
+	if len(remotes) == 0 && sites == 1 && journalDir == "" {
 		rep, err := r.Engine.RunLot(r.Params.Seed, r.Lot, r.Faults)
 		if err != nil {
 			fail("%v", err)
 		}
 		fmt.Print(rep)
 	} else {
-		runOneLot(r, sites, batch, journalDir, journalID, remotes)
+		runOneLot(r, sites, journalDir, journalID, remotes)
 	}
 	printLimits(r.Limits)
 }
@@ -225,11 +219,11 @@ func runFaultyFloor(r *rig.Rig, sites, batch int, journalDir, journalID string, 
 // With a journal, a rerun resumes the lot the same way lotserverd resumes
 // a resubmitted lot ID; a journal from another seed or rig is refused.
 // SIGINT/SIGTERM aborts the lot with its committed devices journaled.
-func runOneLot(r *rig.Rig, sites, batch int, journalDir, journalID string, remotes []string) {
+func runOneLot(r *rig.Rig, sites int, journalDir, journalID string, remotes []string) {
 	opt := lotserver.Options{
 		Engine: r.Engine, Pool: r.Lot, Faults: r.Faults,
 		JournalDir: journalDir, Sites: remotes, NetSeed: r.Params.Seed,
-		Batch: batch, Logf: logf,
+		Logf: logf,
 	}
 	if len(remotes) == 0 {
 		opt.LocalWorkers = sites

@@ -45,7 +45,6 @@ func main() {
 	name := flag.String("name", "", "site name in coordinator reports (default the listen address)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "liveness beacon period")
 	idle := flag.Duration("idle", 0, "drop a silent coordinator connection after this long (default 10x heartbeat)")
-	batch := flag.Int("batch", 1, "max devices per batched assignment advertised to coordinators (1 = one device per Assign; bins are bit-identical at every batch size)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the service run to this file (pprof format)")
 	flag.Parse()
 
@@ -60,9 +59,6 @@ func main() {
 	}
 	if *heartbeat <= 0 {
 		usageFail("-heartbeat %v is not a period; need a positive duration", *heartbeat)
-	}
-	if *batch < 1 {
-		usageFail("-batch %d is not a batch size; need an integer >= 1", *batch)
 	}
 	if *cpuprofile != "" {
 		pf, err := os.Create(*cpuprofile)
@@ -95,7 +91,6 @@ func main() {
 		Faults:            r.Faults,
 		HeartbeatInterval: *heartbeat,
 		IdleTimeout:       *idle,
-		MaxBatch:          *batch,
 		Logf: func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		},

@@ -189,12 +189,18 @@ func main() {
 	_, err = serveLot(ctx, lotserver.Options{
 		Engine: engine, Pool: lot, Faults: faults,
 		LocalWorkers: *sites, JournalDir: journalDir,
+		// Small batches: once more than sites×Batch devices have reached
+		// the hook, some site has delivered a whole batch, so the cut
+		// lands mid-lot with progress in the journal.
+		Batch: 4,
 		Hook: func(lotID string, device int) {
-			if started.Add(1) == killAt {
+			if started.Add(1) >= killAt {
 				// The "power cut": the lot stops taking devices. Hook runs
 				// on a worker, so it cancels the submission rather than
-				// calling Kill, which waits for that worker.
+				// calling Kill, which waits for that worker, and holds
+				// the worker's batch off the tester until the cut lands.
 				cut()
+				time.Sleep(50 * time.Millisecond)
 			}
 		},
 	}, spec)

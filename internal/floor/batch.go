@@ -13,6 +13,11 @@ import (
 	"repro/internal/wave"
 )
 
+// DefaultBatch is the batch size the serving path uses when none is set:
+// one full tile of the device-interleaved envelope kernel (rf's
+// defaultInterleaveTile), the fastest K in the batch-size sweep.
+const DefaultBatch = 16
+
 // BatchDevice is one entry of a ScreenBatch call: a device plus the index
 // and seed ScreenDevice would have received for it.
 type BatchDevice struct {
@@ -313,14 +318,15 @@ func (e *Engine) ScreenBatch(ctx context.Context, batch []BatchDevice, faults *F
 	// Stage 4 — batched prediction over the resolved devices. The matrix
 	// path is bit-identical to Calibration.Predict; if it panics (a model
 	// missing its fast path misbehaving), each device retries through the
-	// serial predict under its own supervision.
+	// serial predict under its own supervision. Every unresolved device —
+	// retest budget spent, deadline expired or panicked — falls back.
 	resolved := live[:0]
 	sigs := recs[:0]
 	for _, st := range states {
 		if st.resolved {
 			resolved = append(resolved, st)
 			sigs = append(sigs, st.sig)
-		} else if !st.done {
+		} else {
 			st.res.Bin = BinFallback
 		}
 	}

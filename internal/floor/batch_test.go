@@ -215,3 +215,36 @@ func TestScreenBatchAllocBudget(t *testing.T) {
 		t.Fatalf("batched screen allocates %.0f objects/device (budget %d)", perDevice, budget)
 	}
 }
+
+// TestScreenBatchDeadlineBitIdentity: under an already-expired deadline
+// every device still gets its first insertion, and a device that would
+// retest stops with a deadline error and falls back — on the batched path
+// exactly as on the serial one, field for field.
+func TestScreenBatchDeadlineBitIdentity(t *testing.T) {
+	f := getFixture(t)
+	eng := f.engine(true)
+	lot, err := core.GeneratePopulation(rand.New(rand.NewSource(71)), f.model, 32, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lotSeed = 313
+	faults := DefaultFaultModel(0.5)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	batch := make([]BatchDevice, len(lot))
+	for i, d := range lot {
+		batch[i] = BatchDevice{Index: i, Device: d, Seed: core.DeviceSeed(lotSeed, i)}
+	}
+	got := eng.ScreenBatch(ctx, batch, faults)
+	deadlined := 0
+	for i, bd := range batch {
+		want := eng.ScreenDevice(ctx, bd.Index, bd.Device, bd.Seed, faults)
+		sameResult(t, "expired deadline", want, got[i])
+		if want.Err != "" {
+			deadlined++
+		}
+	}
+	if deadlined == 0 {
+		t.Fatal("fixture too tame: a 50% fault load under an expired deadline cut no device short")
+	}
+}

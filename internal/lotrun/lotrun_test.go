@@ -256,10 +256,16 @@ func TestKillAndResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var started atomic.Int64
+	// The killed run screens one device per kernel call and, once the
+	// cancel is issued, holds every later device off the tester, so the
+	// cancel lands mid-lot however fast the kernel screens; the resume
+	// runs at the default batch size.
 	killOpt := opt
+	killOpt.Batch = 1
 	killOpt.Hook = func(_ string, _ int) {
-		if started.Add(1) == 20 {
+		if started.Add(1) >= 20 {
 			cancel()
+			time.Sleep(50 * time.Millisecond)
 		}
 	}
 	if _, err := serve(t, ctx, killOpt, spec(seed, lot)); !errors.Is(err, lotserver.ErrAborted) {
@@ -388,9 +394,11 @@ func TestJournalModelVersionPinned(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	killOpt := opt
+	killOpt.Batch = 1 // one device per kernel call, held once cancelled: the cancel lands mid-lot
 	killOpt.Hook = func(_ string, device int) {
-		if device == 15 {
+		if device >= 15 {
 			cancel()
+			time.Sleep(50 * time.Millisecond)
 		}
 	}
 	if _, err := serve(t, ctx, killOpt, spec(seed, lot)); err == nil {
@@ -542,6 +550,7 @@ func TestBreakerQuarantinesFailingSite(t *testing.T) {
 	cfg := lotrun.BreakerConfig{TripConsecutive: 3, ProbeBackoffS: 2, BackoffFactor: 2, MaxBackoffS: 16}
 	opt := oneLot(f.engine(), lot, allOpen, 2)
 	opt.Breaker = cfg
+	opt.Batch = 1 // every device is its own assignment, so each can be a probe
 	res := mustServe(t, opt, spec(8, lot))
 	if res.Report.Fallback != len(lot) {
 		t.Fatalf("all-open lot binned %d fallbacks of %d", res.Report.Fallback, len(lot))
@@ -591,6 +600,7 @@ func TestBreakerHalfOpenRecoveryConcurrent(t *testing.T) {
 	cfg := lotrun.BreakerConfig{TripConsecutive: 2, ProbeBackoffS: 2, BackoffFactor: 2, MaxBackoffS: 16}
 	opt := oneLot(f.engine(), broken, nil, 4)
 	opt.Breaker = cfg
+	opt.Batch = 1 // every device is its own assignment, so each can be a probe
 	res := mustServe(t, opt, spec(seed, broken))
 	if res.Report.Binned() != len(lot) {
 		t.Fatalf("%d of %d binned after breaker recovery", res.Report.Binned(), len(lot))

@@ -335,6 +335,7 @@ func TestDrainDegradedJournal(t *testing.T) {
 	pool := testPool(t, f, 36)
 	opt := serverOpts(f, pool, nil)
 	opt.LocalWorkers = 1
+	opt.Hook = paceTester(5 * time.Millisecond)
 	opt.JournalDir = t.TempDir()
 	opt.FS = diskfault.NewFaultFS(diskfault.OS, 1, diskfault.Profile{SyncErrP: 1})
 	opt.JournalRetry = lotrun.RetryPolicy{Attempts: 2, Backoff: 50 * time.Microsecond}

@@ -225,6 +225,13 @@ func serverOpts(f *fixture, pool []*core.Device, faults *floor.FaultModel) Optio
 	}
 }
 
+// paceTester makes every local screening take at least d per device, as
+// a tester insertion does, so a kill, cancel or drain timed off Status
+// lands mid-lot however fast the batched kernel screens.
+func paceTester(d time.Duration) func(string, int) {
+	return func(string, int) { time.Sleep(d) }
+}
+
 // waitCommitted polls until the lot has committed at least n devices.
 func waitCommitted(t *testing.T, s *Server, lotID string, n int) {
 	t.Helper()
@@ -402,6 +409,7 @@ func TestClientCancelMidLot(t *testing.T) {
 	opt.LocalWorkers = 1
 	opt.JournalDir = t.TempDir()
 	opt.MaxActiveLots = 2
+	opt.Hook = paceTester(5 * time.Millisecond)
 	s, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -468,6 +476,7 @@ func TestKillRestartResume(t *testing.T) {
 	opt.LocalWorkers = 2
 	opt.JournalDir = dir
 	opt.MaxActiveLots = 3
+	opt.Hook = paceTester(5 * time.Millisecond)
 	s1, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -518,6 +527,7 @@ func TestGracefulDrain(t *testing.T) {
 	opt := serverOpts(f, pool, nil)
 	opt.LocalWorkers = 1
 	opt.JournalDir = dir
+	opt.Hook = paceTester(5 * time.Millisecond)
 	s1, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -589,6 +599,11 @@ func TestFairScheduling(t *testing.T) {
 	opt := serverOpts(f, pool, nil)
 	opt.LocalWorkers = 2
 	opt.MaxActiveLots = 2
+	// Device-level interleave at a tester's pace, so the small lot's
+	// admission lands while the mega lot is still screening;
+	// TestSchedulerBatchesNeverSpanLots covers batch-level fairness.
+	opt.Batch = 1
+	opt.Hook = paceTester(5 * time.Millisecond)
 	s, err := New(opt)
 	if err != nil {
 		t.Fatal(err)

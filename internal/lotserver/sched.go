@@ -48,67 +48,39 @@ func (sc *scheduler) pause() {
 	sc.mu.Unlock()
 }
 
-// next picks the next assignment: one full round-robin pass over the
-// active lots for fresh (unassigned) indices first, then a second pass
-// allowing straggler hedges — a worker only races an in-flight device
-// when no lot anywhere has fresh work. Each successful pull advances the
-// cursor past the chosen lot, which is the fairness guarantee. The caller
-// must call done() when the assignment resolves (result delivered or
-// released back).
-func (sc *scheduler) next() (l *lot, idx int, hedged bool, ok bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.paused || len(sc.lots) == 0 {
-		return nil, 0, false, false
-	}
-	n := len(sc.lots)
-	for pass := 0; pass < 2; pass++ {
-		hedge := pass == 1
-		for i := 0; i < n; i++ {
-			cand := sc.lots[(sc.cursor+i)%n]
-			if idx, hedged, ok := cand.disp.Next(hedge); ok {
-				sc.cursor = (sc.cursor + i + 1) % n
-				sc.inflight++
-				return cand, idx, hedged, true
-			}
-		}
-	}
-	return nil, 0, false, false
-}
-
-// nextBatch pulls up to k fresh (never-hedged) indices from a single lot:
-// a batched assignment screens one lot's devices through one kernel call,
-// so the frame carries exactly one (seed, lot) pair. One round-robin pass
-// over the active lots; hedging is left to next(), which batched callers
-// fall back to when every lot's fresh queue is dry. The caller must call
-// doneN(len(idxs)) when the batch resolves.
-func (sc *scheduler) nextBatch(k int) (*lot, []int, bool) {
+// next picks the next assignment: a batch of up to k indices from a
+// single lot, so one kernel call (or one remote frame) carries exactly
+// one (seed, lot) pair. One full round-robin pass over the active lots
+// looks for fresh (unassigned) indices first; only when no lot anywhere
+// has fresh work, and hedge is set, does a second pass allow straggler
+// hedges. Each successful pull advances the cursor past the chosen lot,
+// which is the fairness guarantee. The caller must call done(len(idxs))
+// when the batch resolves (results delivered or released back).
+func (sc *scheduler) next(k int, hedge bool) (*lot, []int, bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if sc.paused || len(sc.lots) == 0 {
 		return nil, nil, false
 	}
 	n := len(sc.lots)
-	for i := 0; i < n; i++ {
-		cand := sc.lots[(sc.cursor+i)%n]
-		if idxs := cand.disp.NextBatch(k); len(idxs) > 0 {
-			sc.cursor = (sc.cursor + i + 1) % n
-			sc.inflight += len(idxs)
-			return cand, idxs, true
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 && !hedge {
+			break
+		}
+		for i := 0; i < n; i++ {
+			cand := sc.lots[(sc.cursor+i)%n]
+			if idxs := cand.disp.Next(k, pass == 1); len(idxs) > 0 {
+				sc.cursor = (sc.cursor + i + 1) % n
+				sc.inflight += len(idxs)
+				return cand, idxs, true
+			}
 		}
 	}
 	return nil, nil, false
 }
 
-// done releases the in-flight slot taken by next.
-func (sc *scheduler) done() {
-	sc.mu.Lock()
-	sc.inflight--
-	sc.mu.Unlock()
-}
-
-// doneN releases the n in-flight slots taken by nextBatch.
-func (sc *scheduler) doneN(n int) {
+// done releases the n in-flight slots taken by next.
+func (sc *scheduler) done(n int) {
 	sc.mu.Lock()
 	sc.inflight -= n
 	sc.mu.Unlock()

@@ -151,20 +151,19 @@ type Options struct {
 	// lot's journal is declared dead and the lot degrades to journal-less
 	// mode (zero value: 3 attempts, 1ms initial backoff).
 	JournalRetry lotrun.RetryPolicy
-	// Hook, when set, runs on a local worker before each device is
-	// screened — chaos-test instrumentation for injecting panics outside
-	// the supervised screening region. A hook panic is recovered by the
-	// worker and the device requeued untouched, so committed bins are
+	// Hook, when set, runs on a local worker once per device of each
+	// batch, in batch order, before the batch's kernel call — chaos-test
+	// and tracing instrumentation for injecting panics outside the
+	// supervised screening region. A hook panic is recovered by the
+	// worker and that device requeued untouched, so committed bins are
 	// unaffected.
 	Hook func(lotID string, device int)
 	// DeviceTimeout bounds one device's screening wall time (0 = none).
 	DeviceTimeout time.Duration
-	// Batch asks workers to screen up to this many devices per kernel call
-	// (local workers) or per remote assignment (only to sites that
-	// advertise batch support in their handshake ack; the effective size is
-	// the minimum of the two, so legacy sites transparently stay at one
-	// device per Assign). 0 or 1 screens serially. Bins are bit-identical
-	// at every batch size.
+	// Batch is the most devices one kernel call (local workers) or one
+	// remote assignment screens; a site caps it by the MaxBatch it
+	// advertises in its handshake ack. 0 means floor.DefaultBatch. Bins
+	// are bit-identical at every batch size.
 	Batch int
 	// Registry, when set, enables the versioned calibration lifecycle:
 	// every admitted lot is pinned to exactly one model version for its
@@ -233,7 +232,7 @@ func (o *Options) defaults() {
 		o.CanaryFraction = 0.25
 	}
 	if o.Batch < 1 {
-		o.Batch = 1
+		o.Batch = floor.DefaultBatch
 	}
 	if o.FS == nil {
 		o.FS = diskfault.OS
@@ -323,23 +322,10 @@ func (l *lot) recordBreaker(ordinal int, cfg lotrun.BreakerConfig, res floor.Dev
 	l.mu.Unlock()
 }
 
-// markAssigned stamps the device's first assignment time (the latency
-// clock) and counts remote round-trips.
-func (l *lot) markAssigned(idx int, remote bool) {
-	l.mu.Lock()
-	if _, ok := l.started[idx]; !ok {
-		l.started[idx] = time.Now()
-	}
-	if remote {
-		l.assigns++
-	}
-	l.mu.Unlock()
-}
-
-// markAssignedBatch stamps each device's first assignment time; a batched
-// remote assignment counts as one round-trip regardless of its size, which
-// is exactly the economics batching buys.
-func (l *lot) markAssignedBatch(idxs []int, remote bool) {
+// markAssigned stamps each device's first assignment time (the latency
+// clock) and counts remote round-trips: a remote batch is one round-trip
+// regardless of its size, which is exactly the economics batching buys.
+func (l *lot) markAssigned(idxs []int, remote bool) {
 	l.mu.Lock()
 	for _, idx := range idxs {
 		if _, ok := l.started[idx]; !ok {
@@ -1109,9 +1095,11 @@ func (s *Server) runHook(l *lot, idx int) (ok bool) {
 	return true
 }
 
-// localWorker screens devices on the server itself, pulling fairly across
-// lots exactly like a remote site does. A fallback worker screens only
-// while fallbackOpen says every remote site is down.
+// localWorker screens batches on the server itself, pulling fairly
+// across lots exactly like a remote site does. A fallback worker screens
+// only while fallbackOpen says every remote site is down. Local workers
+// never hedge: on one host a hedge is the same CPU screening the same
+// device twice, and a local worker cannot go silent the way a site can.
 func (s *Server) localWorker(ordinal int, fallback bool) {
 	var downSince time.Time
 	for {
@@ -1126,17 +1114,7 @@ func (s *Server) localWorker(ordinal int, fallback bool) {
 			}
 			continue
 		}
-		if s.opt.Batch > 1 {
-			if l, idxs, ok := s.sched.nextBatch(s.opt.Batch); ok {
-				if !s.screenLocalBatch(ordinal, l, idxs) {
-					return
-				}
-				continue
-			}
-			// Every lot's fresh queue is dry: fall through to the serial
-			// pull, which is also the only path allowed to hedge.
-		}
-		l, idx, _, ok := s.sched.next()
+		l, idxs, ok := s.sched.next(s.opt.Batch, false)
 		if !ok {
 			select {
 			case <-s.ctx.Done():
@@ -1145,27 +1123,9 @@ func (s *Server) localWorker(ordinal int, fallback bool) {
 			}
 			continue
 		}
-		l.markAssigned(idx, false)
-		if !s.runHook(l, idx) {
-			// The chaos hook panicked before screening started: requeue
-			// the device untouched. It will be re-screened from the same
-			// (seed, index), so committed bins are unaffected.
-			l.disp.Release(idx)
-			s.sched.done()
-			continue
-		}
-		l.chargeProbe(ordinal, s.opt.Breaker)
-		res := netfloor.ScreenSupervised(s.ctx, l.eng, l.spec.Seed, idx,
-			s.opt.Pool[idx], s.opt.Faults, s.opt.DeviceTimeout)
-		if res.Err != "" && s.ctx.Err() != nil {
-			l.disp.Release(idx) // truncated by shutdown: never commit
-			s.sched.done()
+		if !s.screenLocalBatch(ordinal, l, idxs) {
 			return
 		}
-		l.recordBreaker(ordinal, s.opt.Breaker, res)
-		s.deliver(l, res, ordinal)
-		l.disp.Release(idx)
-		s.sched.done()
 	}
 }
 
@@ -1189,11 +1149,11 @@ func (s *Server) fallbackOpen(downSince *time.Time) bool {
 	return time.Since(*downSince) >= s.opt.IdleTimeout
 }
 
-// screenLocalBatch screens one batched scheduler pull through the batched
-// kernel on the server itself; false means the server is shutting down and
-// the worker should exit.
+// screenLocalBatch screens one scheduler pull through the batched kernel
+// on the server itself; false means the server is shutting down and the
+// worker should exit.
 func (s *Server) screenLocalBatch(ordinal int, l *lot, idxs []int) bool {
-	l.markAssignedBatch(idxs, false)
+	l.markAssigned(idxs, false)
 	if s.opt.Hook != nil {
 		// Run the chaos hook per device before the batch forms; a panicked
 		// device is requeued untouched and drops out of this batch.
@@ -1203,7 +1163,7 @@ func (s *Server) screenLocalBatch(ordinal int, l *lot, idxs []int) bool {
 				kept = append(kept, idx)
 			} else {
 				l.disp.Release(idx)
-				s.sched.done()
+				s.sched.done(1)
 			}
 		}
 		idxs = kept
@@ -1228,7 +1188,7 @@ func (s *Server) screenLocalBatch(ordinal int, l *lot, idxs []int) bool {
 		s.deliver(l, res, ordinal)
 		l.disp.Release(res.Index)
 	}
-	s.sched.doneN(len(idxs))
+	s.sched.done(len(idxs))
 	return alive
 }
 
@@ -1279,11 +1239,7 @@ func (s *Server) siteLoop(si int, addr string, st *siteStats) {
 		connected = true
 		attempt = 0
 		st.update(func(st *siteStats) { st.connected = true })
-		kBatch := s.opt.Batch
-		if siteBatch < kBatch {
-			kBatch = siteBatch
-		}
-		err = s.serveSite(si, st, mc, kBatch)
+		err = s.serveSite(si, st, mc, min(s.opt.Batch, siteBatch))
 		st.update(func(st *siteStats) { st.connected = false })
 		mc.Close()
 		if s.ctx.Err() != nil {
@@ -1322,7 +1278,7 @@ type permanentError struct{ msg string }
 func (e *permanentError) Error() string { return e.msg }
 
 // connect dials and handshakes one site in multi-lot mode. The second
-// return is the site's advertised batch capability (1 for legacy sites).
+// return is the site's advertised batch capability (at least 1).
 func (s *Server) connect(addr string) (*netfloor.MsgConn, int, error) {
 	dctx, cancel := context.WithTimeout(s.ctx, s.opt.RequestTimeout)
 	defer cancel()
@@ -1347,11 +1303,7 @@ func (s *Server) connect(addr string) (*netfloor.MsgConn, int, error) {
 			mc.Close()
 			return nil, 0, &permanentError{msg: fmt.Sprintf("site %s acked a different identity", addr)}
 		}
-		siteBatch := env.Batch
-		if siteBatch < 1 {
-			siteBatch = 1
-		}
-		return mc, siteBatch, nil
+		return mc, max(env.Batch, 1), nil
 	case netfloor.MsgError:
 		mc.Close()
 		return nil, 0, &permanentError{msg: env.Err}
@@ -1361,12 +1313,12 @@ func (s *Server) connect(addr string) (*netfloor.MsgConn, int, error) {
 	}
 }
 
-// serveSite drives one healthy connection: pull (lot, device) pairs from
-// the fair scheduler, assign, await. Stray results — from overdue retries
-// or other lots' earlier assignments — are routed to their lots by ID.
-// kBatch is the negotiated assignment size (min of Options.Batch and the
-// site's advertised capability); above 1 the loop prefers batched frames
-// and drops to the single-device path only when fresh queues are dry.
+// serveSite drives one healthy connection: pull same-lot batches of up
+// to kBatch devices from the fair scheduler (hedging stragglers once every
+// fresh queue is dry), assign, await. kBatch is the negotiated assignment
+// size: the minimum of Options.Batch and the site's advertised MaxBatch.
+// Stray results — from overdue retries or other lots' earlier
+// assignments — are routed to their lots by ID.
 func (s *Server) serveSite(si int, st *siteStats, mc *netfloor.MsgConn, kBatch int) error {
 	var seq uint64
 	lastHeard := time.Now()
@@ -1376,46 +1328,7 @@ func (s *Server) serveSite(si int, st *siteStats, mc *netfloor.MsgConn, kBatch i
 			s.drainConn(si, st, mc)
 			return s.ctx.Err()
 		}
-		if kBatch > 1 {
-			if l, idxs, ok := s.sched.nextBatch(kBatch); ok {
-				seq++
-				l.markAssignedBatch(idxs, true)
-				l.chargeProbe(siteOrdinal(si), s.opt.Breaker)
-				st.update(func(st *siteStats) {
-					st.assigns++
-					if l.modelVersion != 0 {
-						if st.models == nil {
-							st.models = make(map[int]bool)
-						}
-						st.models[l.modelVersion] = true
-					}
-				})
-				err := s.assignAwaitBatch(si, st, mc, l, idxs, seq, &lastHeard)
-				requeued := false
-				for _, idx := range idxs {
-					if l.disp.Release(idx) {
-						requeued = true
-					}
-				}
-				s.sched.doneN(len(idxs))
-				if err == nil {
-					continue
-				}
-				st.update(func(st *siteStats) {
-					st.retries++
-					if requeued {
-						st.reassigns++
-					}
-				})
-				if errors.Is(err, errOverdue) {
-					continue
-				}
-				return err
-			}
-			// Fresh queues dry everywhere: fall through to the serial pull,
-			// which is also the only path allowed to hedge stragglers.
-		}
-		l, idx, _, ok := s.sched.next()
+		l, idxs, ok := s.sched.next(kBatch, true)
 		if !ok {
 			// Idle: beacon, and keep reading (draining the site's own
 			// heartbeats; with a synchronous in-memory transport an unread
@@ -1451,7 +1364,7 @@ func (s *Server) serveSite(si int, st *siteStats, mc *netfloor.MsgConn, kBatch i
 		}
 
 		seq++
-		l.markAssigned(idx, true)
+		l.markAssigned(idxs, true)
 		l.chargeProbe(siteOrdinal(si), s.opt.Breaker)
 		st.update(func(st *siteStats) {
 			st.assigns++
@@ -1462,9 +1375,14 @@ func (s *Server) serveSite(si int, st *siteStats, mc *netfloor.MsgConn, kBatch i
 				st.models[l.modelVersion] = true
 			}
 		})
-		err := s.assignAwait(si, st, mc, l, idx, seq, &lastHeard)
-		requeued := l.disp.Release(idx)
-		s.sched.done()
+		err := s.assignAwait(si, st, mc, l, idxs, seq, &lastHeard)
+		requeued := false
+		for _, idx := range idxs {
+			if l.disp.Release(idx) {
+				requeued = true
+			}
+		}
+		s.sched.done(len(idxs))
 		if err == nil {
 			continue
 		}
@@ -1475,9 +1393,9 @@ func (s *Server) serveSite(si int, st *siteStats, mc *netfloor.MsgConn, kBatch i
 			}
 		})
 		if errors.Is(err, errOverdue) {
-			// Connection alive but the result never came (dropped frame):
+			// Connection alive but a result never came (dropped frame):
 			// retry on the same connection; the site's cache makes the
-			// re-screen free.
+			// re-screen free for the devices that already screened.
 			continue
 		}
 		return err
@@ -1487,85 +1405,17 @@ func (s *Server) serveSite(si int, st *siteStats, mc *netfloor.MsgConn, kBatch i
 // siteOrdinal is the worker ordinal of remote site si (locals follow).
 func siteOrdinal(si int) int { return si }
 
-// assignAwait sends one assignment and waits for its result, absorbing
-// heartbeats and routing stray results meanwhile.
-func (s *Server) assignAwait(si int, st *siteStats, mc *netfloor.MsgConn,
-	l *lot, idx int, seq uint64, lastHeard *time.Time) error {
-
-	assign := &netfloor.Envelope{
-		Type: netfloor.MsgAssign, Seq: seq, Device: idx,
-		Seed: l.spec.Seed, Lot: l.spec.ID,
-	}
-	if l.modelVersion != 0 {
-		assign.Model = l.modelVersion
-		assign.ModelFP = l.eng.Fingerprint()
-	}
-	if err := mc.Write(assign, s.opt.IdleTimeout); err != nil {
-		return err
-	}
-	deadline := time.Now().Add(s.opt.RequestTimeout)
-	for {
-		if time.Now().After(deadline) {
-			return errOverdue
-		}
-		if s.ctx.Err() != nil {
-			return errOverdue
-		}
-		env, err := mc.Read(s.opt.HeartbeatInterval)
-		if err != nil {
-			if isTimeout(err) {
-				if time.Since(*lastHeard) > s.opt.IdleTimeout {
-					return errConnDead
-				}
-				continue
-			}
-			return err
-		}
-		*lastHeard = time.Now()
-		switch env.Type {
-		case netfloor.MsgHeartbeat:
-		case netfloor.MsgResult:
-			if env.Result == nil {
-				continue
-			}
-			if env.Lot == l.spec.ID && env.Device == idx && env.Seq == seq {
-				l.recordBreaker(siteOrdinal(si), s.opt.Breaker, *env.Result)
-				s.deliver(l, *env.Result, siteOrdinal(si))
-				return nil
-			}
-			s.routeStray(si, env)
-		case netfloor.MsgModelReq:
-			if err := s.answerModelReq(st, mc, env.Model); err != nil {
-				return err
-			}
-		case netfloor.MsgError:
-			if env.Seq == seq && env.Device == idx {
-				if env.Code == netfloor.CodeModelMismatch {
-					return fmt.Errorf("lotserver: site cannot build model v%d for lot %s: %s: %w",
-						l.modelVersion, l.spec.ID, env.Err, netfloor.ErrModelMismatch)
-				}
-				return fmt.Errorf("lotserver: site rejected device %d of lot %s: %s", idx, l.spec.ID, env.Err)
-			}
-		case netfloor.MsgDrain:
-			// Site-initiated graceful shutdown with our assignment in
-			// flight: give it up; the caller releases and the index is
-			// requeued for another worker.
-			return errSiteDrained
-		}
-	}
-}
-
-// assignAwaitBatch sends one batched assignment — every index from the
-// same lot — and waits until each device's result has arrived, absorbing
+// assignAwait sends one assignment — a batch of indices from the same
+// lot — and waits until each device's result has arrived, absorbing
 // heartbeats and routing stray results meanwhile. The site echoes the
-// frame's Seq on every result of the batch, and its result cache makes a
-// retried batch free for the devices that already screened.
-func (s *Server) assignAwaitBatch(si int, st *siteStats, mc *netfloor.MsgConn,
+// frame's Seq on every result of the batch, and the wait budget is
+// RequestTimeout per device.
+func (s *Server) assignAwait(si int, st *siteStats, mc *netfloor.MsgConn,
 	l *lot, idxs []int, seq uint64, lastHeard *time.Time) error {
 
 	assign := &netfloor.Envelope{
-		Type: netfloor.MsgAssign, Seq: seq, Device: idxs[0],
-		Devices: append([]int(nil), idxs...),
+		Type: netfloor.MsgAssign, Seq: seq,
+		Devices: idxs,
 		Seed:    l.spec.Seed, Lot: l.spec.ID,
 	}
 	if l.modelVersion != 0 {
@@ -1624,6 +1474,9 @@ func (s *Server) assignAwaitBatch(si int, st *siteStats, mc *netfloor.MsgConn,
 				return fmt.Errorf("lotserver: site rejected batch of lot %s: %s", l.spec.ID, env.Err)
 			}
 		case netfloor.MsgDrain:
+			// Site-initiated graceful shutdown with our assignment in
+			// flight: give it up; the caller releases and the undone
+			// indices are requeued for another worker.
 			return errSiteDrained
 		}
 	}

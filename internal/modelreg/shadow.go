@@ -79,9 +79,12 @@ func (s *ShadowScorer) Version() int { return s.version }
 // device seed, so the candidate result is exactly what a lot pinned to
 // the candidate would have produced — and folds the divergence. inc is
 // the incumbent's authoritative result for the same (lot seed, index).
+// The re-screen is a one-device batch through the batched kernel, whose
+// screener pool the candidate shares with the incumbent (same config and
+// stimulus).
 func (s *ShadowScorer) Observe(ctx context.Context, lotSeed int64, dev *core.Device, faults *floor.FaultModel, inc floor.DeviceResult) {
-	seed := core.DeviceSeed(lotSeed, inc.Index)
-	cand := s.eng.ScreenDevice(ctx, inc.Index, dev, seed, faults)
+	batch := [1]floor.BatchDevice{{Index: inc.Index, Device: dev, Seed: core.DeviceSeed(lotSeed, inc.Index)}}
+	cand := s.eng.ScreenBatch(ctx, batch[:], faults)[0]
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

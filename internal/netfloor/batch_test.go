@@ -8,11 +8,11 @@ import (
 )
 
 // TestMixedBatchBitIdentity runs the distributed floor with heterogeneous
-// site capabilities: site0 advertises batched assignments (MaxBatch 16),
-// site1 stays a legacy single-device site (MaxBatch 0). The server asks
-// for Batch 16 and must negotiate down per connection, so the same lot
-// flows through both the batched kernel and the serial path while the
-// exactly-once dispatcher dedups across them. Bins must match the serial
+// site capabilities: site0 advertises batches of 16 (MaxBatch 16), site1
+// takes one device per assignment (MaxBatch 1). The server asks for Batch
+// 16 and must negotiate down per connection, so the same lot flows
+// through the batched kernel at K=16 and at K=1 while the exactly-once
+// dispatcher dedups across them. Bins must match the serial
 // engine bit for bit, clean transport and faulted alike.
 func TestMixedBatchBitIdentity(t *testing.T) {
 	f := getFixture(t)
@@ -28,6 +28,7 @@ func TestMixedBatchBitIdentity(t *testing.T) {
 	t.Run("clean-transport", func(t *testing.T) {
 		fm := newFarm(t, f, lot, faults, 2)
 		fm.sites["site0"].MaxBatch = 16
+		fm.sites["site1"].MaxBatch = 1
 		opt := remoteOpts(f, lot, faults, fm.addrs, fm.dialer(netfloor.FaultProfile{}, 0))
 		opt.Batch = 16
 		res, _ := mustServe(t, opt, spec(seed, lot))
@@ -43,6 +44,7 @@ func TestMixedBatchBitIdentity(t *testing.T) {
 	t.Run("faulty-transport", func(t *testing.T) {
 		fm := newFarm(t, f, lot, faults, 2)
 		fm.sites["site0"].MaxBatch = 16
+		fm.sites["site1"].MaxBatch = 1
 		prof := netfloor.FaultProfile{DropP: 0.03, DupP: 0.05, PartitionAfter: 150}
 		opt := remoteOpts(f, lot, faults, fm.addrs, fm.dialer(prof, 1311))
 		opt.Batch = 16

@@ -35,40 +35,13 @@ func NewDispatcher(pending []int, devices int) *Dispatcher {
 	return d
 }
 
-// Next hands out the front pending index. When the queue is empty and
-// hedge is set, it instead picks the lowest in-flight index held by
-// exactly one site — straggler hedging: a second site races the (possibly
-// dead or slow) holder, and the dedup absorbs whichever result loses.
-// Returns (index, hedged, ok).
-func (d *Dispatcher) Next(hedge bool) (int, bool, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for len(d.queue) > 0 {
-		idx := d.queue[0]
-		d.queue = d.queue[1:]
-		if d.done[idx] {
-			continue
-		}
-		d.holders[idx]++
-		return idx, false, true
-	}
-	if hedge {
-		for idx := range d.holders {
-			if d.holders[idx] == 1 && !d.done[idx] {
-				d.holders[idx]++
-				return idx, true, true
-			}
-		}
-	}
-	return 0, false, false
-}
-
-// NextBatch hands out up to k pending indices from the front of the
-// queue. Unlike Next it never hedges: batches are for fresh work, and a
-// straggler hedge wants the smallest possible unit so the dedup wastes at
-// most one device. An empty return means the queue is dry (the caller
-// falls back to Next(true) for hedging).
-func (d *Dispatcher) NextBatch(k int) []int {
+// Next hands out a batch of up to k indices. Fresh indices come first,
+// from the front of the pending queue. Only when the queue is dry and
+// hedge is set does it instead pick up to k undone indices held by
+// exactly one worker, lowest first — straggler hedging: a second site
+// races the (possibly dead or slow) holder, and the dedup absorbs
+// whichever result loses. An empty return means nothing to hand out.
+func (d *Dispatcher) Next(k int, hedge bool) []int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var idxs []int
@@ -80,6 +53,15 @@ func (d *Dispatcher) NextBatch(k int) []int {
 		}
 		d.holders[idx]++
 		idxs = append(idxs, idx)
+	}
+	if len(idxs) > 0 || !hedge {
+		return idxs
+	}
+	for idx := 0; idx < len(d.holders) && len(idxs) < k; idx++ {
+		if d.holders[idx] == 1 && !d.done[idx] {
+			d.holders[idx]++
+			idxs = append(idxs, idx)
+		}
 	}
 	return idxs
 }

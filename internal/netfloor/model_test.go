@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/lotrun"
 	"repro/internal/modelreg"
 	"repro/internal/netfloor"
@@ -189,7 +190,7 @@ func TestSiteVersionedAssignFetchesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgAssign, Seq: 1, Device: 3, Seed: seed, Model: 2}, time.Second); err != nil {
+	if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgAssign, Seq: 1, Devices: []int{3}, Seed: seed, Model: 2}, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	env := readSkippingHeartbeats(t, mc)
@@ -208,14 +209,14 @@ func TestSiteVersionedAssignFetchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := netfloor.ScreenSupervised(context.Background(), artEng, seed, 3, lot[3], nil, 0)
+	want := artEng.ScreenDevice(context.Background(), 3, lot[3], core.DeviceSeed(seed, 3), nil)
 	if !reflect.DeepEqual(*env.Result, want) {
 		t.Fatalf("wire result diverges from local screening under the artifact engine:\n%+v\nvs\n%+v", *env.Result, want)
 	}
 
 	// Second assignment under the same version: served from cache, no
 	// second fetch.
-	if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgAssign, Seq: 2, Device: 4, Seed: seed, Model: 2}, time.Second); err != nil {
+	if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgAssign, Seq: 2, Devices: []int{4}, Seed: seed, Model: 2}, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	env = readSkippingHeartbeats(t, mc)
@@ -238,7 +239,7 @@ func TestSiteRejectsBadModelArtifact(t *testing.T) {
 	fm := newFarm(t, f, lot, nil, 1)
 	mc := dialManual(t, fm)
 
-	if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgAssign, Seq: 5, Device: 2, Seed: seed, Model: 9}, time.Second); err != nil {
+	if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgAssign, Seq: 5, Devices: []int{2}, Seed: seed, Model: 9}, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	env := readSkippingHeartbeats(t, mc)
@@ -254,7 +255,7 @@ func TestSiteRejectsBadModelArtifact(t *testing.T) {
 	}
 
 	// Connection still serves the base model.
-	if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgAssign, Seq: 6, Device: 2, Seed: seed}, time.Second); err != nil {
+	if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgAssign, Seq: 6, Devices: []int{2}, Seed: seed}, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	env = readSkippingHeartbeats(t, mc)
@@ -283,7 +284,7 @@ func TestSiteModelCacheEviction(t *testing.T) {
 	}
 	assignUnder := func(seq uint64, version, device int) {
 		t.Helper()
-		if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgAssign, Seq: seq, Device: device, Seed: seed, Model: version}, time.Second); err != nil {
+		if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgAssign, Seq: seq, Devices: []int{device}, Seed: seed, Model: version}, time.Second); err != nil {
 			t.Fatal(err)
 		}
 		env := readSkippingHeartbeats(t, mc)
@@ -313,5 +314,54 @@ func TestSiteModelCacheEviction(t *testing.T) {
 	assignUnder(4, 1, 3) // v1 must be re-fetched
 	if st := fm.sites["site0"].Stats(); st.ModelFetches != 4 {
 		t.Fatalf("ModelFetches=%d, want 4 (v1, v2, v3, v1-again)", st.ModelFetches)
+	}
+}
+
+// TestSiteRejectsAssignWithoutDevices: every Assign is a batch. A
+// single-device frame from a pre-batch peer (Device set, no Devices) or a
+// batch naming an index outside the lot is refused with a typed
+// bad_assign error under its Seq, and the connection keeps serving.
+func TestSiteRejectsAssignWithoutDevices(t *testing.T) {
+	f := getFixture(t)
+	lot := testLot(t, f, 8)
+	const seed = 23
+
+	fm := newFarm(t, f, lot, nil, 1)
+	mc := dialManual(t, fm)
+	for seq, bad := range []*netfloor.Envelope{
+		{Type: netfloor.MsgAssign, Device: 2, Seed: seed},
+		{Type: netfloor.MsgAssign, Devices: []int{1, len(lot)}, Seed: seed},
+	} {
+		bad.Seq = uint64(seq + 1)
+		if err := mc.Write(bad, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		env := readSkippingHeartbeats(t, mc)
+		if env.Type != netfloor.MsgError || env.Code != netfloor.CodeBadAssign || env.Seq != bad.Seq {
+			t.Fatalf("assign %+v: got %s code %q seq %d (%s), want a bad_assign error for seq %d",
+				bad, env.Type, env.Code, env.Seq, env.Err, bad.Seq)
+		}
+	}
+	if err := mc.Write(&netfloor.Envelope{Type: netfloor.MsgAssign, Seq: 9, Devices: []int{2}, Seed: seed}, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if env := readSkippingHeartbeats(t, mc); env.Type != netfloor.MsgResult || env.Device != 2 || env.Seq != 9 {
+		t.Fatalf("valid assign after rejections: got %s device %d seq %d", env.Type, env.Device, env.Seq)
+	}
+}
+
+// TestHandshakeRefusesProtocolV1: a version-1 coordinator (single-device
+// assignments) describes a different floor; the site refuses it at the
+// handshake with identity_mismatch instead of failing on its first
+// Assign.
+func TestHandshakeRefusesProtocolV1(t *testing.T) {
+	f := getFixture(t)
+	lot := testLot(t, f, 8)
+	fm := newFarm(t, f, lot, nil, 1)
+	h := siteHello(fm.sites["site0"])
+	h.Version = 1
+	_, env := hello(t, fm, h)
+	if env.Type != netfloor.MsgError || env.Code != netfloor.CodeIdentityMismatch {
+		t.Fatalf("version-1 hello: got %s code %q (%s), want identity_mismatch", env.Type, env.Code, env.Err)
 	}
 }

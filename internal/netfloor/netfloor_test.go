@@ -310,6 +310,7 @@ func TestDistributedBitIdentity(t *testing.T) {
 		fm := newFarm(t, f, lot, faults, 4)
 		opt := remoteOpts(f, lot, faults, fm.addrs, fm.dialer(prof, 77))
 		opt.JournalDir = dir
+		opt.Batch = 1 // one device per assignment: the cancel lands mid-lot
 		_, _, err := serve(t, opt, spec(seed, lot), func(s *lotserver.Server, cancel context.CancelFunc) {
 			waitCommitted(t, s, "lot", 15)
 			cancel()
@@ -477,7 +478,8 @@ func TestExactlyOnceUnderDuplication(t *testing.T) {
 	if local > len(lot)/4 {
 		t.Fatalf("local fallback screened %d of %d devices while every remote was healthy", local, len(lot))
 	}
-	if res.Assigns < len(lot)-local {
+	// Each assignment carries at most floor.DefaultBatch devices.
+	if res.Assigns*floor.DefaultBatch < len(lot)-local {
 		t.Fatalf("%d assigns for %d remote devices: the lot was not screened remotely", res.Assigns, len(lot)-local)
 	}
 	if res.Dups == 0 {

@@ -34,8 +34,9 @@ import (
 )
 
 // ProtocolVersion is carried in every Hello; coordinator and site must
-// match exactly.
-const ProtocolVersion = 1
+// match exactly. Version 2 made every Assign a batch (Envelope.Devices,
+// even for one device), so a version-1 peer is refused at the handshake.
+const ProtocolVersion = 2
 
 // maxFrame bounds one message on the wire. A corrupted length prefix is
 // overwhelmingly likely to exceed it, turning bit rot into a clean
@@ -52,7 +53,8 @@ const (
 	// MsgHelloAck accepts the Hello, echoing the identity and naming the
 	// site.
 	MsgHelloAck MsgType = "hello_ack"
-	// MsgAssign asks the site to screen one device index.
+	// MsgAssign asks the site to screen a batch of device indices of one
+	// lot.
 	MsgAssign MsgType = "assign"
 	// MsgResult returns a screened DeviceResult.
 	MsgResult MsgType = "result"
@@ -85,6 +87,9 @@ const (
 	// CodeIdentityMismatch: protocol version, device-pool size or fault
 	// load disagree — the peers are not describing the same floor.
 	CodeIdentityMismatch = "identity_mismatch"
+	// CodeBadAssign: the site cannot serve an Assign — it names no
+	// devices, or an index outside the lot.
+	CodeBadAssign = "bad_assign"
 )
 
 // ErrModelMismatch is the typed form of a CodeModelMismatch rejection:
@@ -135,18 +140,13 @@ type Envelope struct {
 	// Artifact is the serialized calibration artifact on a MsgModel frame
 	// (modelreg.EncodeArtifact bytes; frame CRC covers integrity).
 	Artifact json.RawMessage `json:"artifact,omitempty"`
-	// Devices carries a batched assignment: screen all of these indices
-	// through the batched kernel and return one MsgResult per device (all
-	// tagged with this frame's Seq). Empty on a single-device Assign —
-	// legacy frames keep using Device. The capability rides on the
-	// handshake's envelopes, not inside Hello (Hello is compared by value
-	// on both sides, so extending it would break pairing with existing
-	// peers): a site advertises its maximum batch via Batch on the
-	// MsgHelloAck frame, and a coordinator only sends Devices to a site
-	// that advertised Batch > 1.
+	// Devices is an Assign's batch: screen all of these indices through
+	// the batched kernel and return one MsgResult per device (all tagged
+	// with this frame's Seq, each naming its index in Device). Every
+	// Assign carries it, even for one device.
 	Devices []int `json:"devices,omitempty"`
 	// Batch on a MsgHelloAck frame is the site's maximum devices per
-	// batched assignment (0 or 1: the site screens one device per Assign).
+	// assignment; a coordinator never sends a larger batch.
 	Batch int `json:"batch,omitempty"`
 }
 

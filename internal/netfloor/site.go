@@ -45,11 +45,11 @@ type Site struct {
 	// DeviceTimeout bounds one device's screening wall time (0 = none),
 	// mirroring lotserver.Options.DeviceTimeout.
 	DeviceTimeout time.Duration
-	// MaxBatch is the most devices this site accepts per batched
-	// assignment, advertised to the coordinator during the handshake. 0 or
-	// 1 keeps the site strictly one-device-per-Assign; a larger value lets
-	// a batching coordinator amortize the screening kernels across up to
-	// MaxBatch devices per round trip. Bins are identical either way.
+	// MaxBatch is the most devices this site accepts per assignment,
+	// advertised to the coordinator during the handshake (0 means
+	// floor.DefaultBatch). The coordinator sends batches of up to the
+	// smaller of this and its own batch size. Bins are identical at every
+	// size.
 	MaxBatch int
 	// ModelCacheSize bounds how many versioned model engines the site
 	// keeps built at once (default 4); least-recently-used versions are
@@ -272,8 +272,8 @@ func (s *Site) handshake(h *Hello) (code string, err error) {
 		fmt.Errorf("identity mismatch: coordinator %+v, site %+v", *h, want)
 }
 
-// ServeConn handles one coordinator connection: handshake, then a serial
-// Assign → screen → Result loop until Drain, error or idle timeout. A
+// ServeConn handles one coordinator connection: handshake, then an Assign
+// → screen batch → Results loop until Drain, error or idle timeout. A
 // heartbeat goroutine beacons throughout so the coordinator can tell a
 // long-running screen from a dead site.
 func (s *Site) ServeConn(ctx context.Context, conn net.Conn) error {
@@ -375,9 +375,9 @@ func (s *Site) ServeConn(ctx context.Context, conn net.Conn) error {
 		case MsgHeartbeat:
 			// Liveness only; lastHeard was already refreshed.
 		case MsgAssign:
-			if bad, ok := s.assignOutOfRange(env); !ok {
-				if werr := mc.Write(&Envelope{Type: MsgError, Seq: env.Seq, Device: bad, Site: s.Name,
-					Err: fmt.Sprintf("device %d outside lot [0,%d)", bad, len(s.Lot))}, s.heartbeat()); werr != nil {
+			if dev, bad := s.badAssign(env); bad != "" {
+				if werr := mc.Write(&Envelope{Type: MsgError, Seq: env.Seq, Device: dev, Site: s.Name,
+					Code: CodeBadAssign, Err: bad}, s.heartbeat()); werr != nil {
 					s.record(func(st *ServeStats) { st.ErrorSendFails++ })
 					s.logf("site %s: failed to send assignment rejection: %v", s.Name, werr)
 				}
@@ -409,7 +409,7 @@ func (s *Site) ServeConn(ctx context.Context, conn net.Conn) error {
 				s.record(func(st *ServeStats) { st.ModelFails++ })
 				s.logf("site %s: model v%d rejected: %v", s.Name, env.Model, merr)
 				for _, q := range queued {
-					if werr := mc.Write(&Envelope{Type: MsgError, Seq: q.Seq, Device: q.Device, Site: s.Name,
+					if werr := mc.Write(&Envelope{Type: MsgError, Seq: q.Seq, Device: q.Devices[0], Site: s.Name,
 						Code: CodeModelMismatch, Model: env.Model, Err: merr.Error()}, s.heartbeat()); werr != nil {
 						s.record(func(st *ServeStats) { st.ErrorSendFails++ })
 						return werr
@@ -454,38 +454,32 @@ func (s *Site) announceDrain(mc *MsgConn) error {
 // maxBatch is the batch capability this site advertises in its handshake
 // ack.
 func (s *Site) maxBatch() int {
-	if s.MaxBatch > 1 {
+	if s.MaxBatch > 0 {
 		return s.MaxBatch
 	}
-	return 1
+	return floor.DefaultBatch
 }
 
-// assignOutOfRange validates every index an Assign names (single Device or
-// batched Devices); on failure it returns the offending index.
-func (s *Site) assignOutOfRange(env *Envelope) (int, bool) {
+// badAssign validates an Assign: it must name at least one device, every
+// index inside the lot. It returns the offending device and the rejection
+// reason, or "" when the assignment is servable.
+func (s *Site) badAssign(env *Envelope) (int, string) {
 	if len(env.Devices) == 0 {
-		if env.Device < 0 || env.Device >= len(s.Lot) {
-			return env.Device, false
-		}
-		return 0, true
+		return env.Device, "assign names no devices"
 	}
 	for _, idx := range env.Devices {
 		if idx < 0 || idx >= len(s.Lot) {
-			return idx, false
+			return idx, fmt.Sprintf("device %d outside lot [0,%d)", idx, len(s.Lot))
 		}
 	}
-	return 0, true
+	return 0, ""
 }
 
-// serveAssign screens one assignment — a single device or a batch — on the
-// resolved engine and writes one Result frame per device, all under the
-// assignment's Seq. The returned error is connection-fatal.
+// serveAssign screens one assignment's batch on the resolved engine and
+// writes one Result frame per device, all under the assignment's Seq. The
+// returned error is connection-fatal.
 func (s *Site) serveAssign(ctx context.Context, mc *MsgConn, env *Envelope, eng *floor.Engine) error {
-	idxs := env.Devices
-	if len(idxs) == 0 {
-		idxs = []int{env.Device}
-	}
-	results, err := s.screenMany(ctx, eng, env.Seed, idxs, env.Model)
+	results, err := s.screenMany(ctx, eng, env.Seed, env.Devices, env.Model)
 	if err != nil {
 		// The site is shutting down mid-batch: the results are
 		// truncations, not outcomes. Never send them — the coordinator
@@ -502,12 +496,12 @@ func (s *Site) serveAssign(ctx context.Context, mc *MsgConn, env *Envelope, eng 
 }
 
 // screenMany resolves a batch of indices against the result cache and
-// screens the misses through the engine's batched kernel (or the serial
-// supervised path when only one is missing). Cached and fresh results come
-// back index-aligned with idxs; fresh complete results are cached with the
-// first-writer-wins discipline when two connections race on a device: the
-// cache is shared across connections on purpose, so a coordinator that
-// reconnects after a partition gets the same answer instantly.
+// screens the misses through the engine's batched kernel. Cached and
+// fresh results come back index-aligned with idxs; fresh complete results
+// are cached with the first-writer-wins discipline when two connections
+// race on a device: the cache is shared across connections on purpose,
+// so a coordinator that reconnects after a partition gets the same answer
+// instantly.
 func (s *Site) screenMany(ctx context.Context, eng *floor.Engine, seed int64, idxs []int, model int) ([]floor.DeviceResult, error) {
 	out := make([]floor.DeviceResult, len(idxs))
 	missPos := make([]int, 0, len(idxs))
@@ -526,12 +520,7 @@ func (s *Site) screenMany(ctx context.Context, eng *floor.Engine, seed int64, id
 		return out, nil
 	}
 
-	var fresh []floor.DeviceResult
-	if len(batch) == 1 {
-		fresh = []floor.DeviceResult{ScreenSupervised(ctx, eng, seed, batch[0].Index, s.Lot[batch[0].Index], s.Faults, s.DeviceTimeout)}
-	} else {
-		fresh = ScreenBatchSupervised(ctx, eng, batch, s.Faults, s.DeviceTimeout)
-	}
+	fresh := ScreenBatchSupervised(ctx, eng, batch, s.Faults, s.DeviceTimeout)
 	truncated := false
 	s.mu.Lock()
 	if s.cache == nil {
@@ -629,38 +618,13 @@ func (s *Site) CachedModels() []int {
 	return out
 }
 
-// ScreenSupervised mirrors lotrun's per-device supervision: a deadline
-// bounds the device's wall time and a recover() turns any panic escaping
-// the screening path into a fallback-binned device instead of a dead site.
-// The remote site and the lot server's local workers both screen through
-// it, so a device bins identically wherever it lands.
-func ScreenSupervised(ctx context.Context, eng *floor.Engine, lotSeed int64, idx int,
-	d *core.Device, faults *floor.FaultModel, timeout time.Duration) (res floor.DeviceResult) {
-	res = floor.DeviceResult{Index: idx, CleanD: -1, TruePass: eng.TruePass(d.Specs)}
-	defer func() {
-		if r := recover(); r != nil {
-			res.Bin = floor.BinFallback
-			res.Err = fmt.Sprintf("panic: %v", r)
-			if res.Insertions == 0 {
-				res.Insertions = 1
-			}
-		}
-	}()
-	dctx := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		dctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	res = eng.ScreenDevice(dctx, idx, d, core.DeviceSeed(lotSeed, idx), faults)
-	return res
-}
-
-// ScreenBatchSupervised is the batched form of ScreenSupervised: the
-// per-device wall budget scales with the batch size, and the engine's
-// batched kernel carries the per-device supervision (it never panics; a
-// device's panic fallback-bins that device alone). Results are
-// batch-aligned and bit-identical to screening each entry serially.
+// ScreenBatchSupervised screens one batch under the per-device
+// supervision contract: the per-device wall budget (timeout, 0 = none)
+// scales with the batch size, and the engine's batched kernel never
+// panics — a device's panic fallback-bins that device alone. The remote
+// site and the lot server's local workers both screen through it, so a
+// device bins identically wherever it lands. Results are batch-aligned
+// and bit-identical to screening each entry serially.
 func ScreenBatchSupervised(ctx context.Context, eng *floor.Engine, batch []floor.BatchDevice,
 	faults *floor.FaultModel, timeout time.Duration) []floor.DeviceResult {
 	dctx := ctx

@@ -64,8 +64,7 @@ go test -race -count=1 -timeout 30m \
 # benchmarks, which also assert parallel/batched results bit-identical to
 # serial.
 go test -run '^$' -bench 'Calibrate|GA|ScreenBatch' -benchtime 1x .
-# Bench-regression gate: re-run the batched-kernel sweep with enough
-# iterations for a stable reading, then fail the build if ns/device at
-# the guarded batch sizes exceeds the checked-in baseline by >20%.
-go test -run '^$' -bench '^BenchmarkScreenBatch$' -benchtime 3x .
-go run ./scripts/benchguard
+# Batched-kernel speed gate: a same-process ratio, so it holds on any
+# host — K=16 ScreenBatch must be >= 5x faster per device than the serial
+# ScreenDevice loop on one lot. Not under -race, which distorts the ratio.
+go test -count=1 -run '^TestScreenBatchSpeedup$' ./internal/floor/
