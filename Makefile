@@ -84,12 +84,14 @@ bench:
 	@echo "--- BENCH_server.json"; cat BENCH_server.json
 	@echo "--- BENCH_batch.json"; cat BENCH_batch.json
 
-# Batched-kernel speed gate: a same-process ratio, so it holds on any
+# Batched-kernel speed gates: same-process ratios, so they hold on any
 # host — K=16 ScreenBatch must be >= 5x faster per device than the serial
-# ScreenDevice loop on one lot (an accidental fallback to the per-device
-# path reads ~1x). Not under -race, which distorts the ratio.
+# ScreenDevice loop on one lot, and the GA's batched SignatureSensitivity
+# >= 5x faster than a serial Acquire loop (an accidental fallback to the
+# per-device path reads ~1x). Not under -race, which distorts the ratio.
 speedup:
 	$(GO) test -count=1 -run '^TestScreenBatchSpeedup$$' ./internal/floor/
+	$(GO) test -count=1 -run '^TestSignatureSensitivityBatched$$' ./internal/core/
 
 # CPU profile of the batched production floor: build sigtest, screen a
 # 200-device behavioral lot on a 2-site one-lot server — batches of

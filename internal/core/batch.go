@@ -6,6 +6,7 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/linalg"
 	"repro/internal/lna"
+	"repro/internal/parallel"
 	"repro/internal/regress"
 	"repro/internal/rf"
 	"repro/internal/wave"
@@ -42,25 +43,6 @@ func NewBatchAcquirer(cfg *TestConfig, stim *wave.PWL) (*BatchAcquirer, error) {
 	return &BatchAcquirer{cfg: cfg, runner: runner, padN: dsp.NextPow2(cfg.Board.CaptureN)}, nil
 }
 
-// CaptureTime runs one device up to (and including) the windowed,
-// zero-padded time record the FFT consumes. The stage order and the rng
-// consumption match AcquireWithFaults exactly, so per-device noise streams
-// are preserved. Panics from fault hooks propagate like the serial path.
-func (ba *BatchAcquirer) CaptureTime(dut rf.EnvelopeDevice, rng *rand.Rand, flt *rf.InsertionFaults) ([]float64, error) {
-	y, err := ba.runner.RunDevice(dut, flt)
-	if err != nil {
-		return nil, err
-	}
-	if rng != nil && ba.cfg.NoiseSigmaV > 0 {
-		y = wave.AddNoise(rng, y, ba.cfg.NoiseSigmaV)
-	}
-	if ba.cfg.DigitizerBits > 0 {
-		y = quantize(y, ba.cfg.DigitizerBits, ba.cfg.digitizerFullScale())
-	}
-	windowed := ba.cfg.Window.Apply(y)
-	return dsp.ZeroPad(windowed, ba.padN), nil
-}
-
 // BatchCapture is one device's outcome of CaptureTimeBatch. Exactly one of
 // Rec, Err, Panic is meaningful: check Panic first (the caller re-raises it
 // under its own per-device supervision so panic routing matches the serial
@@ -71,15 +53,18 @@ type BatchCapture struct {
 	Panic any
 }
 
-// CaptureTimeBatch is CaptureTime over a whole batch: the envelope tails run
-// device-interleaved through the runner's SoA kernel (grouped by occupancy
-// signature, serial-tail fallback per device), then noise, quantization,
-// window and zero-pad run per device in slot order. Each device's rng
-// consumption and stage order match its own serial CaptureTime call exactly
-// — streams are per-device, so batching reorders nothing within one. duts,
-// rngs, flts and out must have equal length. The call is total: every
-// per-device failure (error or recovered panic) lands in its own slot and
-// never poisons a neighbor.
+// CaptureTimeBatch runs a batch of devices up to (and including) the
+// windowed, zero-padded time records the FFT consumes. The envelope tails
+// run device-interleaved through the runner's SoA kernel (grouped by
+// occupancy signature, serial-tail fallback per device) and draw no
+// randomness; then noise, quantization, window and zero-pad run per device
+// in slot order. Each device's stage order and rng consumption match its
+// own serial AcquireWithFaults call exactly, so per-device noise streams
+// are preserved — and one shared rng in every slot is consumed in the
+// order a serial loop over the slots would consume it. duts, rngs, flts
+// and out must have equal length. The call is total: every per-device
+// failure (error or recovered panic) lands in its own slot and never
+// poisons a neighbor.
 func (ba *BatchAcquirer) CaptureTimeBatch(duts []rf.EnvelopeDevice, rngs []*rand.Rand, flts []*rf.InsertionFaults, out []BatchCapture) {
 	k := len(duts)
 	if cap(ba.runs) < k {
@@ -127,7 +112,7 @@ func (ba *BatchAcquirer) finishCapture(i int, rng *rand.Rand, out *BatchCapture)
 	out.Rec = dsp.ZeroPad(windowed, ba.padN)
 }
 
-// Signatures turns a batch of CaptureTime records into feature signatures:
+// Signatures turns a batch of CaptureTimeBatch records into feature signatures:
 // one plan lookup and one contiguous scratch region drive every FFT, then
 // each magnitude spectrum is band-averaged exactly like the serial path.
 // Records must all come from the same configuration (equal lengths).
@@ -138,6 +123,71 @@ func (ba *BatchAcquirer) Signatures(records [][]float64) [][]float64 {
 		out[i] = compressSpectrum(sp, ba.cfg.FeatureBins)
 	}
 	return out
+}
+
+// acquireBatch is the window size of the batched engineering-phase
+// acquisitions (training and validation sets): the serving path's batch
+// (floor.DefaultBatch), one tile of the interleaved envelope kernel.
+const acquireBatch = 16
+
+// acquireAll is a loop of serial Acquire calls run through one
+// BatchAcquirer: one CaptureTimeBatch over every device, then one batched
+// FFT. rngs[i] supplies device i's measurement noise (nil = noise-free);
+// one shared rng may fill every slot, since CaptureTimeBatch draws noise
+// slot by slot. Signatures are Float64bits-identical to the serial loop.
+// On failure it returns the first failing device's index and error; a
+// recovered per-device panic is re-raised, as the serial Acquire would
+// raise it.
+func acquireAll(cfg *TestConfig, stim *wave.PWL, duts []rf.EnvelopeDevice, rngs []*rand.Rand) ([][]float64, int, error) {
+	if len(duts) == 0 {
+		return nil, 0, nil
+	}
+	ba, err := NewBatchAcquirer(cfg, stim)
+	if err != nil {
+		return nil, 0, err
+	}
+	caps := make([]BatchCapture, len(duts))
+	ba.CaptureTimeBatch(duts, rngs, make([]*rf.InsertionFaults, len(duts)), caps)
+	recs := make([][]float64, len(caps))
+	for i, c := range caps {
+		if c.Panic != nil {
+			panic(c.Panic)
+		}
+		if c.Err != nil {
+			return nil, i, c.Err
+		}
+		recs[i] = c.Rec
+	}
+	return ba.Signatures(recs), 0, nil
+}
+
+// acquireWindows runs acquireAll over acquireBatch-device windows of devices
+// on a parallel.ForEach pool. With one worker the windows run inline in
+// order, which a shared rng in rngs requires. On failure it returns the
+// first failing device's index and error.
+func acquireWindows(workers int, cfg *TestConfig, stim *wave.PWL, devices []*Device, rngs []*rand.Rand) ([][]float64, int, error) {
+	n := len(devices)
+	nw := (n + acquireBatch - 1) / acquireBatch
+	sigs := make([][]float64, n)
+	bad := make([]int, nw)
+	errs := make([]error, nw)
+	parallel.ForEach(workers, nw, func(w int) error {
+		s, e := w*acquireBatch, min((w+1)*acquireBatch, n)
+		duts := make([]rf.EnvelopeDevice, e-s)
+		for i, d := range devices[s:e] {
+			duts[i] = d.Behavioral
+		}
+		got, b, err := acquireAll(cfg, stim, duts, rngs[s:e])
+		copy(sigs[s:e], got)
+		bad[w], errs[w] = s+b, err
+		return err
+	})
+	for w, err := range errs {
+		if err != nil {
+			return nil, bad[w], err
+		}
+	}
+	return sigs, 0, nil
 }
 
 // PredictScratch holds the reusable buffers of the scratch and batched

@@ -17,6 +17,17 @@ func batchFixtureConfig() *TestConfig {
 	return cfg
 }
 
+// captureOne is CaptureTimeBatch over a one-device batch: the device takes
+// the runner's serial tail. A recovered panic is re-raised.
+func captureOne(ba *BatchAcquirer, dut rf.EnvelopeDevice, rng *rand.Rand, flt *rf.InsertionFaults) ([]float64, error) {
+	out := make([]BatchCapture, 1)
+	ba.CaptureTimeBatch([]rf.EnvelopeDevice{dut}, []*rand.Rand{rng}, []*rf.InsertionFaults{flt}, out)
+	if out[0].Panic != nil {
+		panic(out[0].Panic)
+	}
+	return out[0].Rec, out[0].Err
+}
+
 // TestBatchAcquirerSignatureBitIdentity runs a small population through the
 // batched acquisition (shared upconversion, batched FFT) and the serial
 // AcquireWithFaults with identical per-device noise streams, and requires
@@ -53,9 +64,9 @@ func TestBatchAcquirerSignatureBitIdentity(t *testing.T) {
 	}
 	records := make([][]float64, len(pop))
 	for i, d := range pop {
-		rec, err := ba.CaptureTime(d.Behavioral, rand.New(rand.NewSource(DeviceSeed(7, i))), faults[i])
+		rec, err := captureOne(ba, d.Behavioral, rand.New(rand.NewSource(DeviceSeed(7, i))), faults[i])
 		if err != nil {
-			t.Fatalf("device %d: CaptureTime: %v", i, err)
+			t.Fatalf("device %d: CaptureTimeBatch: %v", i, err)
 		}
 		records[i] = rec
 	}
@@ -124,7 +135,8 @@ func TestCalibrationPredictBatchBitIdentity(t *testing.T) {
 }
 
 // TestCaptureTimeBatchBitIdentity drives the device-interleaved capture path
-// against per-device CaptureTime calls with identical seeds: records must
+// against one-device CaptureTimeBatch calls (the serial tail) with identical
+// seeds: records must
 // match bit for bit across clean and faulted devices, a panicking fault hook
 // must land in its own slot without touching neighbors, and repeated calls
 // must be stable across the pooled scratch.
@@ -182,7 +194,7 @@ func TestCaptureTimeBatchBitIdentity(t *testing.T) {
 			if out[i].Err != nil {
 				t.Fatalf("round %d device %d: %v", round, i, out[i].Err)
 			}
-			want, err := ba.CaptureTime(duts[i], rand.New(rand.NewSource(DeviceSeed(11, i))), faults[i])
+			want, err := captureOne(ba, duts[i], rand.New(rand.NewSource(DeviceSeed(11, i))), faults[i])
 			if err != nil {
 				t.Fatalf("round %d device %d: serial: %v", round, i, err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -28,8 +29,9 @@ type Calibration struct {
 type CalibrationOptions struct {
 	Trainers []regress.Trainer
 	Folds    int
-	// Workers fans the cross-validation out over (trainer, fold) pairs;
-	// <= 1 evaluates serially. Results are bit-identical either way.
+	// Workers fans the cross-validation out over (spec, trainer, fold)
+	// triples, then the final fits over specs; <= 1 evaluates serially.
+	// Results are bit-identical either way.
 	Workers int
 }
 
@@ -52,10 +54,11 @@ type TrainingDevice struct {
 	Specs     lna.Specs
 }
 
-// Calibrate fits the per-spec maps on the training set. rng seeds the
-// cross-validation fold assignments: one base seed is drawn and every
-// (spec, trainer) pair derives its own sub-stream from it, so CV scores
-// are independent of evaluation order and of opt.Workers.
+// Calibrate fits the per-spec maps on the training set in one
+// multi-target selection. rng seeds the cross-validation fold
+// assignments: one base seed is drawn and every (spec, trainer) pair
+// derives its own sub-stream from it, so CV scores are independent of
+// evaluation order and of opt.Workers.
 func Calibrate(rng *rand.Rand, stim *wave.PWL, training []TrainingDevice, opt CalibrationOptions) (*Calibration, error) {
 	if len(training) < 6 {
 		return nil, fmt.Errorf("core: need at least 6 training devices, got %d", len(training))
@@ -69,26 +72,40 @@ func Calibrate(rng *rand.Rand, stim *wave.PWL, training []TrainingDevice, opt Ca
 		}
 		X.SetRow(i, td.Signature)
 	}
-	cal := &Calibration{Stimulus: stim}
+	folds := opt.Folds
+	if folds > len(training) {
+		folds = len(training)
+	}
 	base := rng.Int63()
-	for s := 0; s < 3; s++ {
-		y := make([]float64, len(training))
+	ys := make([][]float64, 3)
+	seeds := make([]int64, 3)
+	for s := range ys {
+		ys[s] = make([]float64, len(training))
 		for i, td := range training {
-			y[i] = td.Specs.Vector()[s]
+			ys[s][i] = td.Specs.Vector()[s]
 		}
-		folds := opt.Folds
-		if folds > len(training) {
-			folds = len(training)
-		}
-		model, tr, rms, err := regress.SelectBestSeeded(opt.Trainers, X, y, folds, parallel.SubSeed(base, s), opt.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("core: calibrating %s: %w", lna.SpecNames()[s], err)
-		}
-		cal.Models[s] = model
-		cal.Trainers[s] = tr.Name()
-		cal.CVRMS[s] = rms
+		seeds[s] = parallel.SubSeed(base, s)
+	}
+	sel, err := regress.SelectBestSeeded(opt.Trainers, X, ys, folds, seeds, opt.Workers)
+	if err != nil {
+		return nil, targetError("calibrating", lna.SpecNames(), err)
+	}
+	cal := &Calibration{Stimulus: stim}
+	for s, b := range sel {
+		cal.Models[s] = b.Model
+		cal.Trainers[s] = b.Trainer.Name()
+		cal.CVRMS[s] = b.RMS
 	}
 	return cal, nil
+}
+
+// targetError names the failing target of a multi-target selection.
+func targetError(what string, names []string, err error) error {
+	var te *regress.TargetError
+	if errors.As(err, &te) {
+		return fmt.Errorf("core: %s %s: %w", what, names[te.Target], te.Err)
+	}
+	return fmt.Errorf("core: %s: %w", what, err)
 }
 
 // Predict maps one measured signature to the three specifications — the

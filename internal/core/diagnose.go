@@ -47,23 +47,28 @@ func CalibrateDiagnosis(rng *rand.Rand, training []TrainingDevice, devices []*De
 	for i, td := range training {
 		X.SetRow(i, td.Signature)
 	}
-	d := &Diagnosis{k: k, names: append([]string(nil), names...)}
+	folds := opt.Folds
+	if folds > len(training) {
+		folds = len(training)
+	}
 	base := rng.Int63()
-	for p := 0; p < k; p++ {
-		y := make([]float64, len(devices))
+	ys := make([][]float64, k)
+	seeds := make([]int64, k)
+	for p := range ys {
+		ys[p] = make([]float64, len(devices))
 		for i, dev := range devices {
-			y[i] = dev.Rel[p]
+			ys[p][i] = dev.Rel[p]
 		}
-		folds := opt.Folds
-		if folds > len(training) {
-			folds = len(training)
-		}
-		model, _, rms, err := regress.SelectBestSeeded(opt.Trainers, X, y, folds, parallel.SubSeed(base, p), opt.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("core: diagnosing %s: %w", names[p], err)
-		}
-		d.models = append(d.models, model)
-		d.Sigma = append(d.Sigma, rms)
+		seeds[p] = parallel.SubSeed(base, p)
+	}
+	sel, err := regress.SelectBestSeeded(opt.Trainers, X, ys, folds, seeds, opt.Workers)
+	if err != nil {
+		return nil, targetError("diagnosing", names, err)
+	}
+	d := &Diagnosis{k: k, names: append([]string(nil), names...)}
+	for _, b := range sel {
+		d.models = append(d.models, b.Model)
+		d.Sigma = append(d.Sigma, b.RMS)
 	}
 	return d, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -151,5 +153,91 @@ func TestDeviceSeedStableMix(t *testing.T) {
 	}
 	if DeviceSeed(3, 5) < 0 || DeviceSeed(3, 5) == DeviceSeed(3, 6) {
 		t.Fatal("device seeds must be non-negative and index-sensitive")
+	}
+}
+
+// sameSignature fails unless a and b are Float64bits-equal.
+func sameSignature(t *testing.T, label string, a, b []float64) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: length %d vs %d", label, len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("%s bin %d: %v vs %v", label, i, a[i], b[i])
+		}
+	}
+}
+
+// TestBatchedAcquisitionBitIdentity: the training and validation
+// acquisitions run through the batched kernel in windows, yet equal a
+// serial Acquire loop bit for bit. With one shared rng the noise is drawn
+// in the serial order and the stream ends where the serial loop leaves it;
+// the seeded path matches a serial loop over DeviceSeed streams. 37
+// devices span three windows, the last one partial.
+func TestBatchedAcquisitionBitIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	cfg := DefaultSimConfig()
+	stim := cfg.RandomStimulus(rng)
+	pop, err := GeneratePopulation(rng, RF2401Model{}, 37, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serialLoop := func(rngFor func(i int) *rand.Rand) [][]float64 {
+		out := make([][]float64, len(pop))
+		for i, d := range pop {
+			sig, err := cfg.Acquire(d.Behavioral, stim, rngFor(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = sig
+		}
+		return out
+	}
+
+	refRng := rand.New(rand.NewSource(5))
+	want := serialLoop(func(int) *rand.Rand { return refRng })
+	gotRng := rand.New(rand.NewSource(5))
+	td, err := AcquireTrainingSet(gotRng, cfg, stim, pop, specsOfDevice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range pop {
+		sameSignature(t, fmt.Sprintf("shared-rng device %d", i), td[i].Signature, want[i])
+	}
+	if a, b := gotRng.Int63(), refRng.Int63(); a != b {
+		t.Fatalf("shared rng left at a different stream position: next draw %d vs serial %d", a, b)
+	}
+
+	seeded := serialLoop(func(i int) *rand.Rand { return rand.New(rand.NewSource(DeviceSeed(66, i))) })
+	tds, err := AcquireTrainingSetSeeded(66, cfg, stim, pop, specsOfDevice, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range pop {
+		sameSignature(t, fmt.Sprintf("seeded device %d", i), tds[i].Signature, seeded[i])
+	}
+
+	cal, err := Calibrate(rand.New(rand.NewSource(6)), stim, td, CalibrationOptions{Folds: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRng = rand.New(rand.NewSource(7))
+	want = serialLoop(func(int) *rand.Rand { return refRng })
+	gotRng = rand.New(rand.NewSource(7))
+	rep, err := Validate(gotRng, cfg, cal, stim, pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range pop {
+		pv := cal.Predict(want[i]).Vector()
+		for s := 0; s < 3; s++ {
+			if got := rep.Specs[s].Points[i].Predicted; math.Float64bits(got) != math.Float64bits(pv[s]) {
+				t.Fatalf("validation device %d spec %d: %v vs serial %v", i, s, got, pv[s])
+			}
+		}
+	}
+	if a, b := gotRng.Int63(), refRng.Int63(); a != b {
+		t.Fatalf("validation rng left at a different stream position: next draw %d vs serial %d", a, b)
 	}
 }

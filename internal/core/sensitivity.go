@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/linalg"
 	"repro/internal/rf"
@@ -79,18 +80,26 @@ func NewBehavioralSet(model DeviceModel) (*BehavioralSet, error) {
 }
 
 // SignatureSensitivity computes As for one stimulus by central differences
-// of noise-free signature acquisitions over the cached behavioral set.
+// of noise-free signature acquisitions over the cached behavioral set. The
+// 2k perturbed devices run as one batch through the batched acquisition
+// kernel, in the order Plus[0], Minus[0], Plus[1], ... a serial loop would
+// take them; As is Float64bits-identical to that loop.
 func (c *TestConfig) SignatureSensitivity(set *BehavioralSet, stim *wave.PWL) (*linalg.Matrix, error) {
+	duts := make([]rf.EnvelopeDevice, 0, 2*set.K)
+	for j := 0; j < set.K; j++ {
+		duts = append(duts, set.Plus[j], set.Minus[j])
+	}
+	sigs, bad, err := acquireAll(c, stim, duts, make([]*rand.Rand, len(duts)))
+	if err != nil {
+		sign := "+"
+		if bad%2 == 1 {
+			sign = "-"
+		}
+		return nil, fmt.Errorf("core: signature sensitivity %s%d: %w", sign, bad/2, err)
+	}
 	var as *linalg.Matrix
 	for j := 0; j < set.K; j++ {
-		sp, err := c.Acquire(set.Plus[j], stim, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: signature sensitivity +%d: %w", j, err)
-		}
-		sm, err := c.Acquire(set.Minus[j], stim, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: signature sensitivity -%d: %w", j, err)
-		}
+		sp, sm := sigs[2*j], sigs[2*j+1]
 		if as == nil {
 			as = linalg.NewMatrix(len(sp), set.K)
 		}

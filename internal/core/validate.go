@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/lna"
-	"repro/internal/parallel"
 	"repro/internal/stat"
 	"repro/internal/wave"
 )
@@ -36,18 +35,20 @@ type ValidationReport struct {
 
 // Validate predicts every validation device from its signature and
 // compares against the true specs. rng supplies fresh measurement noise
-// per acquisition (each validation device is a new insertion).
+// per acquisition (each validation device is a new insertion), drawn in
+// device order exactly as a serial Acquire loop would draw it; the
+// acquisitions run through the batched kernel in windows of acquireBatch.
 func Validate(rng *rand.Rand, cfg *TestConfig, cal *Calibration, stim *wave.PWL, devices []*Device) (*ValidationReport, error) {
+	sigs, _, err := acquireWindows(1, cfg, stim, devices, sharedRng(rng, len(devices)))
+	if err != nil {
+		return nil, fmt.Errorf("core: validation acquisition: %w", err)
+	}
 	rep := &ValidationReport{}
 	names := lna.SpecNames()
 	actual := make([][]float64, 3)
 	pred := make([][]float64, 3)
-	for _, d := range devices {
-		sig, err := cfg.Acquire(d.Behavioral, stim, rng)
-		if err != nil {
-			return nil, fmt.Errorf("core: validation acquisition: %w", err)
-		}
-		p := cal.Predict(sig)
+	for i, d := range devices {
+		p := cal.Predict(sigs[i])
 		av, pv := d.Specs.Vector(), p.Vector()
 		for s := 0; s < 3; s++ {
 			actual[s] = append(actual[s], av[s])
@@ -78,27 +79,27 @@ func (r *ValidationReport) String() string {
 // AcquireTrainingSet measures signatures (with fresh noise per device) for
 // a population and pairs them with the given specs source. specsOf lets
 // the caller choose between true simulated specs (simulation experiment)
-// and noisy ATE characterization (hardware experiment). The devices draw
-// noise sequentially from one shared rng; use AcquireTrainingSetSeeded
-// for the order-independent, parallelizable acquisition.
+// and noisy ATE characterization (hardware experiment); it runs after the
+// acquisitions, in device order. The devices draw noise sequentially from
+// one shared rng, in device order exactly as a serial Acquire loop would;
+// the acquisitions run through the batched kernel in windows of
+// acquireBatch. Use AcquireTrainingSetSeeded for the order-independent,
+// parallel acquisition.
 func AcquireTrainingSet(rng *rand.Rand, cfg *TestConfig, stim *wave.PWL, devices []*Device, specsOf func(*Device) lna.Specs) ([]TrainingDevice, error) {
-	out := make([]TrainingDevice, 0, len(devices))
-	for _, d := range devices {
-		sig, err := cfg.Acquire(d.Behavioral, stim, rng)
-		if err != nil {
-			return nil, fmt.Errorf("core: training acquisition: %w", err)
-		}
-		out = append(out, TrainingDevice{Signature: sig, Specs: specsOf(d)})
+	sigs, _, err := acquireWindows(1, cfg, stim, devices, sharedRng(rng, len(devices)))
+	if err != nil {
+		return nil, fmt.Errorf("core: training acquisition: %w", err)
 	}
-	return out, nil
+	return pairSpecs(sigs, devices, specsOf), nil
 }
 
 // AcquireTrainingSetSeeded measures the training set on a worker pool:
-// device i's circuit sim -> RF envelope -> FFT signature runs as an
-// independent task whose measurement noise comes from an RNG seeded with
-// DeviceSeed(lotSeed, i). Signatures depend only on (lotSeed, device), so
-// serial (workers=1) and N-way-parallel acquisitions are bit-identical.
-// workers <= 0 uses one worker per CPU.
+// device i's circuit sim -> RF envelope -> FFT signature has measurement
+// noise from an RNG seeded with DeviceSeed(lotSeed, i), and windows of
+// acquireBatch devices run through the batched kernel as independent
+// tasks. Signatures depend only on (lotSeed, device), so serial
+// (workers=1) and N-way-parallel acquisitions are bit-identical. workers
+// <= 0 uses one worker per CPU.
 func AcquireTrainingSetSeeded(lotSeed int64, cfg *TestConfig, stim *wave.PWL, devices []*Device, specsOf func(*Device) lna.Specs, workers int) ([]TrainingDevice, error) {
 	return AcquireTrainingSetAt(lotSeed, 0, cfg, stim, devices, specsOf, workers)
 }
@@ -108,18 +109,30 @@ func AcquireTrainingSetSeeded(lotSeed int64, cfg *TestConfig, stim *wave.PWL, de
 // acquired in chunks — e.g. resuming an interrupted acquisition — is
 // therefore bit-identical to one acquired in a single pass.
 func AcquireTrainingSetAt(lotSeed int64, start int, cfg *TestConfig, stim *wave.PWL, devices []*Device, specsOf func(*Device) lna.Specs, workers int) ([]TrainingDevice, error) {
-	out := make([]TrainingDevice, len(devices))
-	err := parallel.ForEach(workers, len(devices), func(i int) error {
-		rng := rand.New(rand.NewSource(DeviceSeed(lotSeed, start+i)))
-		sig, err := cfg.Acquire(devices[i].Behavioral, stim, rng)
-		if err != nil {
-			return fmt.Errorf("core: training acquisition %d: %w", start+i, err)
-		}
-		out[i] = TrainingDevice{Signature: sig, Specs: specsOf(devices[i])}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	rngs := make([]*rand.Rand, len(devices))
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(DeviceSeed(lotSeed, start+i)))
 	}
-	return out, nil
+	sigs, bad, err := acquireWindows(workers, cfg, stim, devices, rngs)
+	if err != nil {
+		return nil, fmt.Errorf("core: training acquisition %d: %w", start+bad, err)
+	}
+	return pairSpecs(sigs, devices, specsOf), nil
+}
+
+// sharedRng fills n acquisition slots with one noise stream.
+func sharedRng(rng *rand.Rand, n int) []*rand.Rand {
+	rngs := make([]*rand.Rand, n)
+	for i := range rngs {
+		rngs[i] = rng
+	}
+	return rngs
+}
+
+func pairSpecs(sigs [][]float64, devices []*Device, specsOf func(*Device) lna.Specs) []TrainingDevice {
+	out := make([]TrainingDevice, len(devices))
+	for i, d := range devices {
+		out[i] = TrainingDevice{Signature: sigs[i], Specs: specsOf(d)}
+	}
+	return out
 }

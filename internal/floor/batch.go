@@ -249,7 +249,7 @@ func (e *Engine) ScreenBatch(ctx context.Context, batch []BatchDevice, faults *F
 					if c.Panic != nil {
 						// Re-raise under this device's supervision: the
 						// fallback-bin routing and "panic: %v" message are
-						// byte-identical to the serial CaptureTime panic.
+						// byte-identical to the serial acquisition panic.
 						panic(c.Panic)
 					}
 					if c.Err != nil {

@@ -110,8 +110,9 @@ func (b *Breaker) backoff() float64 {
 }
 
 // BeginProbe transitions open -> half-open, charging the quarantine
-// backoff. The worker calls it before pulling the next device; the device
-// it then screens is the probe insertion.
+// backoff. The lot server calls it when a worker's next result arrives
+// while the breaker is open; that device is the probe insertion, and the
+// Record that follows decides it.
 func (b *Breaker) BeginProbe() float64 {
 	if b.state != stateOpen {
 		return 0
@@ -175,7 +176,7 @@ func (b *Breaker) Record(res floor.DeviceResult) bool {
 }
 
 // Open reports whether the site is quarantined (waiting out the backoff);
-// the worker must BeginProbe before screening its next device.
+// BeginProbe must precede the Record of its next device.
 func (b *Breaker) Open() bool { return b.state == stateOpen }
 
 // State names the current state ("closed", "open", "half-open") for

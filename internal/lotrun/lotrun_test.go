@@ -550,7 +550,6 @@ func TestBreakerQuarantinesFailingSite(t *testing.T) {
 	cfg := lotrun.BreakerConfig{TripConsecutive: 3, ProbeBackoffS: 2, BackoffFactor: 2, MaxBackoffS: 16}
 	opt := oneLot(f.engine(), lot, allOpen, 2)
 	opt.Breaker = cfg
-	opt.Batch = 1 // every device is its own assignment, so each can be a probe
 	res := mustServe(t, opt, spec(8, lot))
 	if res.Report.Fallback != len(lot) {
 		t.Fatalf("all-open lot binned %d fallbacks of %d", res.Report.Fallback, len(lot))
@@ -600,7 +599,6 @@ func TestBreakerHalfOpenRecoveryConcurrent(t *testing.T) {
 	cfg := lotrun.BreakerConfig{TripConsecutive: 2, ProbeBackoffS: 2, BackoffFactor: 2, MaxBackoffS: 16}
 	opt := oneLot(f.engine(), broken, nil, 4)
 	opt.Breaker = cfg
-	opt.Batch = 1 // every device is its own assignment, so each can be a probe
 	res := mustServe(t, opt, spec(seed, broken))
 	if res.Report.Binned() != len(lot) {
 		t.Fatalf("%d of %d binned after breaker recovery", res.Report.Binned(), len(lot))
@@ -632,6 +630,54 @@ func TestBreakerHalfOpenRecoveryConcurrent(t *testing.T) {
 		if !reflect.DeepEqual(r, want) {
 			t.Fatalf("post-recovery device %d diverges from the panic-free reference:\n%+v\nvs\n%+v",
 				r.Index, r, want)
+		}
+	}
+}
+
+// TestLotResultBatchInvariant is the batch-size property of the whole lot
+// result, not only its bins: with one local worker and a fixed fault
+// schedule — insertion faults plus two runs of panicking devices, so the
+// breaker trips, fails half-open probes with growing backoff and
+// recovers — the LotResult is equal at every batch size K. Bins, trip
+// events, quarantine and journal charges, drift alarms and the report all
+// match; only Assigns and NetworkS count per batch by design. A breaker
+// that probed once per batch instead of once per device fails this.
+func TestLotResultBatchInvariant(t *testing.T) {
+	f := getFixture(t)
+	lot := testLot(t, f, 64)
+	const seed = 29
+	var victims []int
+	for i := 4; i < 64; i++ {
+		if i < 20 || (i >= 36 && i < 44) {
+			victims = append(victims, i)
+		}
+	}
+	broken := breakAt(lot, victims...)
+	cfg := lotrun.BreakerConfig{TripConsecutive: 2, ProbeBackoffS: 2, BackoffFactor: 2, MaxBackoffS: 16}
+	run := func(k int) *lotserver.LotResult {
+		opt := oneLot(f.engine(), broken, floor.DefaultFaultModel(0.10), 1)
+		opt.Breaker = cfg
+		opt.Batch = k
+		opt.JournalDir = t.TempDir()
+		res := mustServe(t, opt, spec(seed, broken))
+		res.Assigns = 0
+		res.Report.Load.NetworkS = 0
+		return res
+	}
+	ref := run(1)
+	grew := false
+	for _, tr := range ref.Trips {
+		grew = grew || tr.QuarantineS > cfg.ProbeBackoffS
+	}
+	if len(ref.Trips) < 3 || !grew || ref.Report.Load.QuarantineS <= 0 || ref.Report.Load.JournalS <= 0 {
+		t.Fatalf("K=1 reference does not exercise the breaker: %d trips, grown backoff %v, quarantine %gs, journal %gs",
+			len(ref.Trips), grew, ref.Report.Load.QuarantineS, ref.Report.Load.JournalS)
+	}
+	for _, k := range []int{3, 16, 64} {
+		got := run(k)
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("K=%d lot result diverges from K=1:\ntrips %+v\nvs    %+v\nload %+v\nvs   %+v",
+				k, got.Trips, ref.Trips, got.Report.Load, ref.Report.Load)
 		}
 	}
 }

@@ -232,16 +232,28 @@ func paceTester(d time.Duration) func(string, int) {
 	return func(string, int) { time.Sleep(d) }
 }
 
-// waitCommitted polls until the lot has committed at least n devices.
+// waitCommitted polls until the lot has committed at least n devices. A
+// lot that is neither active nor queued has ended; if it ended short of n
+// the test fails at once instead of spinning out the deadline.
 func waitCommitted(t *testing.T, s *Server, lotID string, n int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		st := s.Status()
+		live := false
 		for _, ls := range st.ActiveLots {
-			if ls.ID == lotID && ls.Committed >= n {
-				return
+			if ls.ID == lotID {
+				live = true
+				if ls.Committed >= n {
+					return
+				}
 			}
+		}
+		for _, ls := range st.QueuedLots {
+			live = live || ls.ID == lotID
+		}
+		if !live {
+			t.Fatalf("lot %s ended before committing %d devices", lotID, n)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -304,21 +304,18 @@ func (l *lot) breakerFor(ordinal int, cfg lotrun.BreakerConfig) *lotrun.Breaker 
 	return l.breakers[ordinal]
 }
 
-// chargeProbe runs the breaker's open → half-open transition for this
-// worker if it is quarantined; the next device is the probe insertion.
-func (l *lot) chargeProbe(ordinal int, cfg lotrun.BreakerConfig) {
+// recordBreaker folds one result into this worker's breaker for the lot.
+// A result that arrives while the breaker is open is the half-open probe:
+// the quarantine is charged and the result decides the probe. The breaker
+// is modeled economics (no worker sleeps), so it is a pure fold over the
+// worker's results in the order it records them, whatever the batch size.
+func (l *lot) recordBreaker(ordinal int, cfg lotrun.BreakerConfig, res floor.DeviceResult) {
 	l.mu.Lock()
 	br := l.breakerFor(ordinal, cfg)
 	if br.Open() {
 		br.BeginProbe()
 	}
-	l.mu.Unlock()
-}
-
-// recordBreaker folds one result into this worker's breaker for the lot.
-func (l *lot) recordBreaker(ordinal int, cfg lotrun.BreakerConfig, res floor.DeviceResult) {
-	l.mu.Lock()
-	l.breakerFor(ordinal, cfg).Record(res)
+	br.Record(res)
 	l.mu.Unlock()
 }
 
@@ -1171,7 +1168,6 @@ func (s *Server) screenLocalBatch(ordinal int, l *lot, idxs []int) bool {
 			return true
 		}
 	}
-	l.chargeProbe(ordinal, s.opt.Breaker)
 	batch := make([]floor.BatchDevice, len(idxs))
 	for i, idx := range idxs {
 		batch[i] = floor.BatchDevice{Index: idx, Device: s.opt.Pool[idx], Seed: core.DeviceSeed(l.spec.Seed, idx)}
@@ -1365,7 +1361,6 @@ func (s *Server) serveSite(si int, st *siteStats, mc *netfloor.MsgConn, kBatch i
 
 		seq++
 		l.markAssigned(idxs, true)
-		l.chargeProbe(siteOrdinal(si), s.opt.Breaker)
 		st.update(func(st *siteStats) {
 			st.assigns++
 			if l.modelVersion != 0 {

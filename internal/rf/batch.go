@@ -20,7 +20,7 @@ import (
 //     the reference implementations (EnvFromBaseband, EnvTone, the up-mixer's
 //     ProcessEnvelope, powers), so the shared state carries the reference
 //     bits by construction.
-//   - RunDevice replays only the device-dependent tail — DUT nonlinearity,
+//   - RunDevices replays only the device-dependent tail — DUT nonlinearity,
 //     contact/LO/capture faults, downconversion — through occupancy-tracked
 //     kernels that skip structurally-zero zones and compute only the zones
 //     the digitizer can see (BasebandReal reads zone 0 of the downmix, so
@@ -57,7 +57,7 @@ type BatchRunner struct {
 	d1        []complex128 // carrier-zone derivative of rfIn, grown lazily
 	loClean   *loSet
 
-	// Per-device scratch, reused across RunDevice calls.
+	// Per-device scratch, reused across devices and RunDevices calls.
 	ampBuf   *envBuf
 	chainBuf *envBuf
 	nlBuf    *envBuf
@@ -185,7 +185,7 @@ func NewBatchRunner(lb *Loadboard) (*BatchRunner, error) {
 
 // Prepare computes the device-independent front half of the acquisition for
 // one stimulus: baseband evaluation, upconversion, the clean downconversion
-// LO and its powers. Call it once per stimulus before RunDevice; the
+// LO and its powers. Call it once per stimulus before RunDevices; the
 // stimulus function must be pure (every production stimulus is).
 func (br *BatchRunner) Prepare(stim StimFunc) {
 	br.stim = stim
@@ -452,45 +452,16 @@ func scaleTime(y *envBuf, g func(t float64) float64) {
 	}
 }
 
-// RunDevice completes one device's capture against the prepared stimulus.
-// Insertion faults are honored at the same points of the chain as
-// RunEnvelopeFaulted; a stimulus-transform fault falls back to the full
-// reference path (the shared upconversion no longer applies). Panics from
-// fault hooks (e.g. the CaptureN contract) propagate exactly as on the
-// serial path so the floor supervisor can recover them per device.
-func (br *BatchRunner) RunDevice(dut EnvelopeDevice, flt *InsertionFaults) ([]float64, error) {
-	if br.stim == nil {
-		return nil, fmt.Errorf("rf: BatchRunner.RunDevice before Prepare")
-	}
-	if flt != nil && flt.StimTransform != nil {
-		return br.lb.RunEnvelopeFaulted(dut, br.stim, flt)
-	}
-	// The per-device power chain caches by input buffer pointer; those
-	// buffers are recycled between devices, so the cache must not survive.
-	br.powFor = nil
-
-	y, ySig := br.front(dut, nil)
-	if flt != nil && flt.ContactGain != nil {
-		scaleTime(y, flt.ContactGain)
-	}
-	return br.tail(y, ySig, flt), nil
-}
-
 // front replays the DUT half of the chain. For Amplifier/Chain devices the
-// final envelope lands in dst when given (the interleaved kernel's per-slot
-// buffer) and in the shared scratch otherwise; the intermediate buffers and
-// therefore the FP sequence are identical either way. Generic DUTs go
+// final envelope lands in dst (the interleaved kernel's per-slot buffer);
+// intermediate chain stages use the shared scratch. Generic DUTs go
 // through their own ProcessEnvelope and return the wrapped signal for the
 // mixer compatibility check.
 func (br *BatchRunner) front(dut EnvelopeDevice, dst *envBuf) (*envBuf, *EnvSignal) {
 	switch d := dut.(type) {
 	case *Amplifier:
-		out := dst
-		if out == nil {
-			out = br.ampBuf
-		}
-		br.runAmp(d, br.rfIn, out, true)
-		return out, nil
+		br.runAmp(d, br.rfIn, dst, true)
+		return dst, nil
 	case *Chain:
 		if len(d.Stages) == 0 {
 			ySig := d.ProcessEnvelope(br.rfInSig.Clone(), br.mz)
@@ -502,7 +473,7 @@ func (br *BatchRunner) front(dut EnvelopeDevice, dst *envBuf) (*envBuf, *EnvSign
 			if in == br.ampBuf {
 				out = br.chainBuf
 			}
-			if si == len(d.Stages)-1 && dst != nil {
+			if si == len(d.Stages)-1 {
 				out = dst
 			}
 			br.runAmp(st, in, out, si == 0)

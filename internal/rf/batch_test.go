@@ -35,6 +35,17 @@ func sameCapture(t *testing.T, name string, ref, got []float64) {
 	}
 }
 
+// runOne is RunDevices over a one-device batch: the device takes the
+// runner's serial tail. A recovered panic is re-raised.
+func runOne(br *BatchRunner, dut EnvelopeDevice, flt *InsertionFaults) ([]float64, error) {
+	devs := []DeviceRun{{DUT: dut, Flt: flt}}
+	br.RunDevices(devs)
+	if devs[0].Panic != nil {
+		panic(devs[0].Panic)
+	}
+	return devs[0].Capture, devs[0].Err
+}
+
 func batchTestBoards() map[string]*Loadboard {
 	small := DefaultLoadboard()
 	small.CaptureN = 40
@@ -125,7 +136,7 @@ func TestBatchRunnerBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reference: %v", name, err)
 				}
-				got, err := br.RunDevice(dut, flt)
+				got, err := runOne(br, dut, flt)
 				if err != nil {
 					t.Fatalf("%s: batch: %v", name, err)
 				}
@@ -158,7 +169,7 @@ func TestBatchRunnerInterleavedDevices(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d reference: %v", step, err)
 		}
-		got, err := br.RunDevice(duts[oc.d], faults[oc.f])
+		got, err := runOne(br, duts[oc.d], faults[oc.f])
 		if err != nil {
 			t.Fatalf("step %d batch: %v", step, err)
 		}
@@ -186,7 +197,7 @@ func TestBatchRunnerCaptureContractPanic(t *testing.T) {
 			t.Fatalf("unexpected panic payload: %v", r)
 		}
 	}()
-	br.RunDevice(NewAmplifier(PolyFromSpecs(15, -8)), flt)
+	runOne(br, NewAmplifier(PolyFromSpecs(15, -8)), flt)
 }
 
 // TestBatchRunnerRequiresPrepare checks the unprepared-runner error.
@@ -195,7 +206,7 @@ func TestBatchRunnerRequiresPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := br.RunDevice(NewAmplifier(PolyFromSpecs(15, -8)), nil); err == nil {
+	if _, err := runOne(br, NewAmplifier(PolyFromSpecs(15, -8)), nil); err == nil {
 		t.Fatal("expected error before Prepare")
 	}
 }

@@ -3,12 +3,12 @@ package rf
 import "fmt"
 
 // This file implements the device-interleaved (structure-of-arrays) form of
-// the batched envelope tail. RunDevice replays one device's nonlinearity /
-// downmix tail through per-device []complex128 zone buffers; profiling shows
-// the batched screen then spends over half of every device's wall time
-// re-walking the same zone-pair structure — occupancy checks, (i, j) index
-// arithmetic, conjugate-case dispatch — that every other clean device in the
-// batch walks identically. RunDevices amortizes that structure across the
+// the batched envelope tail. The serial tail replays one device's
+// nonlinearity / downmix tail through per-device []complex128 zone
+// buffers; profiling shows the batched screen then spends over half of
+// every device's wall time re-walking the same zone-pair structure —
+// occupancy checks, (i, j) index arithmetic, conjugate-case dispatch — that
+// every other clean device in the batch walks identically. RunDevices amortizes that structure across the
 // batch:
 //
 //   - Devices are grouped by occupancy signature (planKey): the set of
@@ -44,7 +44,7 @@ import "fmt"
 // to the serial tail per device.
 //
 // RunDevices is not safe for concurrent use (it shares the runner's
-// scratch); give each worker its own runner, exactly like RunDevice.
+// scratch); give each worker its own runner.
 
 // DeviceRun is one slot of a RunDevices call. The runner writes the capture
 // into Capture (reusing its backing array when the capacity allows), or
@@ -167,7 +167,7 @@ func (br *BatchRunner) tileSize() int {
 }
 
 // RunDevices completes every device's capture against the prepared stimulus,
-// equivalent to calling RunDevice per slot but with the downmix tail
+// equivalent to running the serial tail per slot but with the downmix tail
 // device-interleaved across each occupancy group. Per-slot outcomes land in
 // the DeviceRun: panics from fault hooks are recovered into Panic (the
 // caller re-raises under its own supervision), errors into Err. A slot never
@@ -193,7 +193,8 @@ func (br *BatchRunner) RunDevices(devs []DeviceRun) {
 	}
 
 	// Front half: per device, under per-device recovery. Identical FP order
-	// to RunDevice (the shared stimulus state makes fronts independent).
+	// to a one-device batch (the shared stimulus state makes fronts
+	// independent).
 	for i := range devs {
 		br.frontDevice(i, &devs[i])
 	}
@@ -303,7 +304,7 @@ func (br *BatchRunner) cleanLO(flt *InsertionFaults, yAlloc int) bool {
 }
 
 // serialTailDevice completes one device through the per-device tail (the
-// RunDevice code path), recovering panics into the slot.
+// path a one-device group takes), recovering panics into the slot.
 func (br *BatchRunner) serialTailDevice(di int, devs []DeviceRun) {
 	dr := &devs[di]
 	st := &br.il.st[di]

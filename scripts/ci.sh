@@ -52,19 +52,25 @@ go test -race -count=2 -timeout 30m \
 go test -race -count=2 -timeout 30m ./internal/diskfault/
 go test -race -count=2 -timeout 30m -run 'Journal' ./internal/lotrun/
 # Batched-kernel bit-identity: the ScreenBatch determinism contract at
-# every layer — interleaved SoA kernel, batched acquirer, one-lot server
-# on local workers and on remote sites, multi-lot server — under the race
-# detector. PropertyRandom covers the randomized interleaved-vs-serial
-# and mulOccInto-vs-Mul property suites.
+# every layer — interleaved SoA kernel, batched acquirer (and the batched
+# training/validation acquisitions), one-lot server on local workers and
+# on remote sites, multi-lot server — under the race detector.
+# PropertyRandom covers the randomized interleaved-vs-serial and
+# mulOccInto-vs-Mul property suites; LotResultBatchInvariant asserts the
+# whole lot result (bins, breaker trips, quarantine, journal charges) is
+# equal at K = 1, 3, 16 and 64.
 go test -race -count=1 -timeout 30m \
-	-run 'BitIdentity|ByteIdentical|CleanDRegression|BatchedServerBitIdentical|PropertyRandom|RunDevices' \
+	-run 'BitIdentity|ByteIdentical|CleanDRegression|BatchedServerBitIdentical|PropertyRandom|RunDevices|LotResultBatchInvariant' \
 	./internal/rf/ ./internal/core/ ./internal/dsp/ \
 	./internal/floor/ ./internal/lotrun/ ./internal/netfloor/ ./internal/lotserver/
 # Bench smoke: one iteration of the pipeline and batched-kernel
 # benchmarks, which also assert parallel/batched results bit-identical to
 # serial.
 go test -run '^$' -bench 'Calibrate|GA|ScreenBatch' -benchtime 1x .
-# Batched-kernel speed gate: a same-process ratio, so it holds on any
+# Batched-kernel speed gates: same-process ratios, so they hold on any
 # host — K=16 ScreenBatch must be >= 5x faster per device than the serial
-# ScreenDevice loop on one lot. Not under -race, which distorts the ratio.
+# ScreenDevice loop on one lot, and the GA's batched SignatureSensitivity
+# >= 5x faster than a serial Acquire loop (with A_s bit-identical). Not
+# under -race, which distorts the ratio.
 go test -count=1 -run '^TestScreenBatchSpeedup$' ./internal/floor/
+go test -count=1 -run '^TestSignatureSensitivityBatched$' ./internal/core/
