@@ -1,7 +1,9 @@
-# Repo-wide build/test entry points. `make ci` is what the CI script runs:
-# formatting check, vet, build, and the full test suite under the race
-# detector (the floor engine's fault injector, the lot server's worker
-# pool and the retest loop must stay race-clean).
+# Repo-wide build/test entry points. `make ci` runs scripts/ci.sh, the one
+# list of CI steps: formatting check, vet, build, the full test suite under
+# the race detector (the floor engine's fault injector, the lot server's
+# worker pool and the retest loop must stay race-clean), the soaks below,
+# the batched bit-identity suites under -race, the bench smoke and the
+# speed gates.
 
 GO ?= go
 
@@ -84,14 +86,17 @@ bench:
 	@echo "--- BENCH_server.json"; cat BENCH_server.json
 	@echo "--- BENCH_batch.json"; cat BENCH_batch.json
 
-# Batched-kernel speed gates: same-process ratios, so they hold on any
-# host — K=16 ScreenBatch must be >= 5x faster per device than the serial
-# ScreenDevice loop on one lot, and the GA's batched SignatureSensitivity
-# >= 5x faster than a serial Acquire loop (an accidental fallback to the
-# per-device path reads ~1x). Not under -race, which distorts the ratio.
+# Speed gates: same-process ratios, so they hold on any host — K=16
+# ScreenBatch must be >= 5x faster per device than the serial ScreenDevice
+# loop on one lot, the GA's batched SignatureSensitivity >= 5x faster than
+# a serial Acquire loop (an accidental fallback to the per-device path
+# reads ~1x), and MARS.Fit >= 3x faster than the SVD-per-candidate
+# reference on lna fold data (a fallback to an SVD per candidate reads
+# ~1x). Not under -race, which distorts the ratio.
 speedup:
 	$(GO) test -count=1 -run '^TestScreenBatchSpeedup$$' ./internal/floor/
 	$(GO) test -count=1 -run '^TestSignatureSensitivityBatched$$' ./internal/core/
+	$(GO) test -count=1 -run '^TestMARSFitSpeedup$$' ./internal/regress/
 
 # CPU profile of the batched production floor: build sigtest, screen a
 # 200-device behavioral lot on a 2-site one-lot server — batches of
@@ -105,4 +110,5 @@ profile:
 	./bin/sigtest -dut rf2401 -quick -produce 200 -faults -sites 2 -cpuprofile floor.pprof
 	$(GO) tool pprof -top -nodecount 15 bin/sigtest floor.pprof
 
-ci: fmtcheck vet build race netsoak lotsoak rolloutsoak chaossoak speedup
+ci:
+	sh scripts/ci.sh

@@ -644,27 +644,13 @@ func TestBreakerHalfOpenRecoveryConcurrent(t *testing.T) {
 // that probed once per batch instead of once per device fails this.
 func TestLotResultBatchInvariant(t *testing.T) {
 	f := getFixture(t)
-	lot := testLot(t, f, 64)
-	const seed = 29
-	var victims []int
-	for i := 4; i < 64; i++ {
-		if i < 20 || (i >= 36 && i < 44) {
-			victims = append(victims, i)
-		}
-	}
-	broken := breakAt(lot, victims...)
-	cfg := lotrun.BreakerConfig{TripConsecutive: 2, ProbeBackoffS: 2, BackoffFactor: 2, MaxBackoffS: 16}
-	run := func(k int) *lotserver.LotResult {
-		opt := oneLot(f.engine(), broken, floor.DefaultFaultModel(0.10), 1)
-		opt.Breaker = cfg
-		opt.Batch = k
-		opt.JournalDir = t.TempDir()
-		res := mustServe(t, opt, spec(seed, broken))
+	run, cfg := batchInvariantLot(t, f)
+	strip := func(res *lotserver.LotResult) *lotserver.LotResult {
 		res.Assigns = 0
 		res.Report.Load.NetworkS = 0
 		return res
 	}
-	ref := run(1)
+	ref := strip(run(1, 1))
 	grew := false
 	for _, tr := range ref.Trips {
 		grew = grew || tr.QuarantineS > cfg.ProbeBackoffS
@@ -674,12 +660,68 @@ func TestLotResultBatchInvariant(t *testing.T) {
 			len(ref.Trips), grew, ref.Report.Load.QuarantineS, ref.Report.Load.JournalS)
 	}
 	for _, k := range []int{3, 16, 64} {
-		got := run(k)
+		got := strip(run(1, k))
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("K=%d lot result diverges from K=1:\ntrips %+v\nvs    %+v\nload %+v\nvs   %+v",
 				k, got.Trips, ref.Trips, got.Report.Load, ref.Report.Load)
 		}
 	}
+}
+
+// TestLotResultBatchInvariantTwoWorkers is the same property on two local
+// workers, which split the lot between them in a schedule-dependent way.
+// Every field that does not depend on which worker screened a device —
+// bins and per-device results, report counts and specs, the fallback and
+// retest tallies, drift alarms — must equal the one-worker K=1 reference
+// at every K. Per-worker breaker trips (and the quarantine charge and time
+// comparison derived from them), the screening Site, Assigns and the
+// modeled NetworkS are left out (reportsEqual).
+func TestLotResultBatchInvariantTwoWorkers(t *testing.T) {
+	f := getFixture(t)
+	run, _ := batchInvariantLot(t, f)
+	rest := func(res *lotserver.LotResult) lotserver.LotResult {
+		c := *res
+		c.Report, c.Trips, c.Assigns = nil, nil, 0
+		return c
+	}
+	ref := run(1, 1)
+	for _, k := range []int{1, 3, 16, 64} {
+		got := run(2, k)
+		if len(got.Trips) == 0 {
+			t.Fatalf("K=%d: no breaker trip on two workers; the panicking victims should trip one", k)
+		}
+		label := fmt.Sprintf("2 workers, K=%d vs 1 worker, K=1", k)
+		reportsEqual(t, label, got.Report, ref.Report)
+		if a, b := rest(got), rest(ref); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: lot result diverges:\n%+v\nvs\n%+v", label, a, b)
+		}
+	}
+}
+
+// batchInvariantLot is the fixed fault schedule of the K-invariance
+// properties: a 64-device lot with 10 % insertion faults and two runs of
+// panicking devices (24 victims), so the breaker trips, fails half-open
+// probes with growing backoff and recovers. run(workers, k) screens it on
+// a fresh journaled one-lot server with that many local workers and
+// batch size k.
+func batchInvariantLot(t *testing.T, f *fixture) (run func(workers, k int) *lotserver.LotResult, cfg lotrun.BreakerConfig) {
+	lot := testLot(t, f, 64)
+	const seed = 29
+	var victims []int
+	for i := 4; i < 64; i++ {
+		if i < 20 || (i >= 36 && i < 44) {
+			victims = append(victims, i)
+		}
+	}
+	broken := breakAt(lot, victims...)
+	cfg = lotrun.BreakerConfig{TripConsecutive: 2, ProbeBackoffS: 2, BackoffFactor: 2, MaxBackoffS: 16}
+	return func(workers, k int) *lotserver.LotResult {
+		opt := oneLot(f.engine(), broken, floor.DefaultFaultModel(0.10), workers)
+		opt.Breaker = cfg
+		opt.Batch = k
+		opt.JournalDir = t.TempDir()
+		return mustServe(t, opt, spec(seed, broken))
+	}, cfg
 }
 
 // driftedEngine is the fixture engine with its gate baseline shifted 20

@@ -1,6 +1,8 @@
 #!/bin/sh
-# CI entry point: formatting check, vet, build, and the full test suite
-# under the race detector. Mirrors `make ci` for environments without make.
+# CI entry point and the one list of CI steps (`make ci` runs this
+# script): formatting check, vet, build, the full test suite under the
+# race detector, the soaks, the batched bit-identity suites under -race,
+# the bench smoke and the speed gates.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -51,26 +53,32 @@ go test -race -count=2 -timeout 30m \
 	-run 'CorruptArtifactTailSweep|ActivePrevFallback|FaultFSCorruptRename' ./internal/modelreg/
 go test -race -count=2 -timeout 30m ./internal/diskfault/
 go test -race -count=2 -timeout 30m -run 'Journal' ./internal/lotrun/
-# Batched-kernel bit-identity: the ScreenBatch determinism contract at
-# every layer — interleaved SoA kernel, batched acquirer (and the batched
+# Bit-identity: the ScreenBatch determinism contract at every layer —
+# interleaved SoA kernel, batched acquirer (and the batched
 # training/validation acquisitions), one-lot server on local workers and
-# on remote sites, multi-lot server — under the race detector.
+# on remote sites, multi-lot server — and the MARS forward pass against
+# its SVD-per-candidate reference, under the race detector.
 # PropertyRandom covers the randomized interleaved-vs-serial and
 # mulOccInto-vs-Mul property suites; LotResultBatchInvariant asserts the
 # whole lot result (bins, breaker trips, quarantine, journal charges) is
-# equal at K = 1, 3, 16 and 64.
+# equal at K = 1, 3, 16 and 64, and LotResultBatchInvariantTwoWorkers
+# every worker-independent field of it on two local workers;
+# MARSFitBitIdentity covers randomized fits and every fit of
+# core.Calibrate and core.CalibrateDiagnosis on both rigs.
 go test -race -count=1 -timeout 30m \
-	-run 'BitIdentity|ByteIdentical|CleanDRegression|BatchedServerBitIdentical|PropertyRandom|RunDevices|LotResultBatchInvariant' \
-	./internal/rf/ ./internal/core/ ./internal/dsp/ \
+	-run 'BitIdentity|ByteIdentical|CleanDRegression|BatchedServerBitIdentical|PropertyRandom|RunDevices|LotResultBatchInvariant|LotResultBatchInvariantTwoWorkers' \
+	./internal/rf/ ./internal/core/ ./internal/dsp/ ./internal/regress/ \
 	./internal/floor/ ./internal/lotrun/ ./internal/netfloor/ ./internal/lotserver/
 # Bench smoke: one iteration of the pipeline and batched-kernel
 # benchmarks, which also assert parallel/batched results bit-identical to
 # serial.
 go test -run '^$' -bench 'Calibrate|GA|ScreenBatch' -benchtime 1x .
-# Batched-kernel speed gates: same-process ratios, so they hold on any
-# host — K=16 ScreenBatch must be >= 5x faster per device than the serial
-# ScreenDevice loop on one lot, and the GA's batched SignatureSensitivity
-# >= 5x faster than a serial Acquire loop (with A_s bit-identical). Not
-# under -race, which distorts the ratio.
+# Speed gates: same-process ratios, so they hold on any host — K=16
+# ScreenBatch must be >= 5x faster per device than the serial ScreenDevice
+# loop on one lot, the GA's batched SignatureSensitivity >= 5x faster than
+# a serial Acquire loop (with A_s bit-identical), and MARS.Fit >= 3x
+# faster than the SVD-per-candidate reference on lna fold data. Not under
+# -race, which distorts the ratio.
 go test -count=1 -run '^TestScreenBatchSpeedup$' ./internal/floor/
 go test -count=1 -run '^TestSignatureSensitivityBatched$' ./internal/core/
+go test -count=1 -run '^TestMARSFitSpeedup$' ./internal/regress/
