@@ -1,13 +1,14 @@
-# Repo-wide build/test entry points. `make ci` runs scripts/ci.sh, the one
-# list of CI steps: formatting check, vet, build, the full test suite under
-# the race detector (the floor engine's fault injector, the lot server's
-# worker pool and the retest loop must stay race-clean), the soaks below,
-# the batched bit-identity suites under -race, the bench smoke and the
-# speed gates.
+# Repo-wide build/test entry points. `make ci` (which scripts/ci.sh runs)
+# is the one list of CI steps: formatting check, vet, build, the full test
+# suite under the race detector (the floor engine's fault injector, the
+# lot server's worker pool and the retest loop must stay race-clean), the
+# soaks below, the batched bit-identity suites under -race and the speed
+# gates. Performance is measured by lotbench (`bash lotbench/run.sh`, see
+# BENCHMARK.json), not here.
 
 GO ?= go
 
-.PHONY: all fmt fmtcheck vet build test race netsoak lotsoak rolloutsoak chaossoak speedup bench profile ci
+.PHONY: all fmt fmtcheck vet build test race netsoak lotsoak rolloutsoak chaossoak bitidentity speedup profile ci
 
 all: build
 
@@ -61,10 +62,11 @@ rolloutsoak:
 # Storage-chaos soak: seeded disk faults (EIO, torn writes, ENOSPC,
 # corrupt renames, latency) composed with network faults and transient
 # worker panics over a multi-lot server run, under the race detector.
-# Asserts committed bins bit-identical to the fault-free serial reference
-# and every lot terminating with a full report or a typed error. Every
-# schedule is a pure function of its seed; replay one failing schedule
-# with:
+# Asserts committed bins bit-identical to the fault-free serial reference,
+# every lot terminating with a full report or a typed error, and a dead
+# journal degrading the lot (ErrJournalDegraded in report, /statusz and
+# client) instead of aborting it. Every schedule is a pure function of its
+# seed; replay one failing schedule with:
 #   go test -race -run ChaosSoak ./internal/lotserver/ -args -chaosseed=<seed>
 chaossoak:
 	$(GO) test -race -count=2 -timeout 30m \
@@ -74,25 +76,31 @@ chaossoak:
 	$(GO) test -race -count=2 -timeout 30m ./internal/diskfault/
 	$(GO) test -race -count=2 -timeout 30m -run 'Journal' ./internal/lotrun/
 
-# Serial-vs-parallel benchmarks: the off-line calibration pipeline
-# (BENCH_pipeline.json), the multi-lot screening service
-# (BENCH_server.json: throughput plus p50/p95/p99 device latency) and the
-# batched screening kernel (BENCH_batch.json: devices/sec at
-# K=1/4/16/64). All assert the parallel/batched results bit-identical to
-# the serial ones before reporting.
-bench:
-	$(GO) test -run '^$$' -bench '^(BenchmarkCalibrate|BenchmarkGA|BenchmarkServe|BenchmarkShadowScreen|BenchmarkScreenBatch)$$' -benchtime 2x .
-	@echo "--- BENCH_pipeline.json"; cat BENCH_pipeline.json
-	@echo "--- BENCH_server.json"; cat BENCH_server.json
-	@echo "--- BENCH_batch.json"; cat BENCH_batch.json
+# Bit-identity: the ScreenBatch determinism contract at every layer —
+# interleaved SoA kernel, batched acquirer (and the batched
+# training/validation acquisitions), one-lot server on local workers and
+# on remote sites, multi-lot server — and the MARS forward pass against
+# its SVD-per-candidate reference, under the race detector.
+# PropertyRandom covers the randomized interleaved-vs-serial and
+# mulOccInto-vs-Mul property suites; LotResultBatchInvariant asserts the
+# whole lot result (bins, breaker trips, quarantine, journal charges) is
+# equal at K = 1, 3, 16 and 64, and LotResultBatchInvariantTwoWorkers
+# every worker-independent field of it on two local workers;
+# MARSFitBitIdentity covers randomized fits and every fit of
+# core.Calibrate and core.CalibrateDiagnosis on both rigs.
+bitidentity:
+	$(GO) test -race -count=1 -timeout 30m \
+		-run 'BitIdentity|ByteIdentical|CleanDRegression|BatchedServerBitIdentical|PropertyRandom|RunDevices|LotResultBatchInvariant|LotResultBatchInvariantTwoWorkers' \
+		./internal/rf/ ./internal/core/ ./internal/dsp/ ./internal/regress/ \
+		./internal/floor/ ./internal/lotrun/ ./internal/netfloor/ ./internal/lotserver/
 
 # Speed gates: same-process ratios, so they hold on any host — K=16
 # ScreenBatch must be >= 5x faster per device than the serial ScreenDevice
 # loop on one lot, the GA's batched SignatureSensitivity >= 5x faster than
-# a serial Acquire loop (an accidental fallback to the per-device path
-# reads ~1x), and MARS.Fit >= 3x faster than the SVD-per-candidate
-# reference on lna fold data (a fallback to an SVD per candidate reads
-# ~1x). Not under -race, which distorts the ratio.
+# a serial Acquire loop (with A_s bit-identical; an accidental fallback to
+# the per-device path reads ~1x), and MARS.Fit >= 3x faster than the
+# SVD-per-candidate reference on lna fold data (a fallback to an SVD per
+# candidate reads ~1x). Not under -race, which distorts the ratio.
 speedup:
 	$(GO) test -count=1 -run '^TestScreenBatchSpeedup$$' ./internal/floor/
 	$(GO) test -count=1 -run '^TestSignatureSensitivityBatched$$' ./internal/core/
@@ -110,5 +118,4 @@ profile:
 	./bin/sigtest -dut rf2401 -quick -produce 200 -faults -sites 2 -cpuprofile floor.pprof
 	$(GO) tool pprof -top -nodecount 15 bin/sigtest floor.pprof
 
-ci:
-	sh scripts/ci.sh
+ci: fmtcheck vet build race netsoak lotsoak rolloutsoak chaossoak bitidentity speedup

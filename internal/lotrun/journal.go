@@ -27,8 +27,8 @@ import (
 // the IEEE CRC32 of the raw bytes of R: a torn or scribbled-over write
 // that still happens to parse as JSON (a flipped digit inside a float, a
 // partial overwrite landing on a syntactically valid prefix) is detected
-// by the checksum instead of being silently committed. The reader stays
-// tolerant of legacy CRC-less lines, which carry the record directly.
+// by the checksum instead of being silently committed. A line without a
+// verifying envelope is corrupt, whatever it parses as.
 //
 // All file access goes through the diskfault.FS seam: production uses
 // diskfault.OS, fault-injection tests substitute a seeded FaultFS. The
@@ -58,13 +58,13 @@ type JournalHeader struct {
 	Devices int     `json:"devices"`
 	FaultP  float64 `json:"fault_p"` // total per-insertion fault probability
 	// Fingerprint is the screening engine's floor.Engine.Fingerprint —
-	// calibration, gate and policy identity. 0 on legacy journals (then
-	// the check is skipped on resume).
+	// calibration, gate and policy identity. Resuming under an engine
+	// that hashes differently is refused with ErrModelMismatch.
 	Fingerprint uint64 `json:"fingerprint,omitempty"`
 	// ModelVersion is the calibration registry version the lot is pinned
-	// to (0 = the process's base model, and what legacy journals decode
-	// to). A lot keeps its version for life; resuming under a different
-	// one is refused with ErrModelMismatch.
+	// to (0 = the process's base model). A lot keeps its version for
+	// life; resuming under a different one is refused with
+	// ErrModelMismatch.
 	ModelVersion int `json:"model_version,omitempty"`
 }
 
@@ -122,11 +122,6 @@ type Journal struct {
 	// dirty marks that the last write failed and the tail may hold a
 	// torn partial line that must be repaired before the next record.
 	dirty bool
-}
-
-// CreateJournal starts a fresh journal on the real filesystem.
-func CreateJournal(path string, hdr JournalHeader) (*Journal, error) {
-	return CreateJournalFS(diskfault.OS, path, hdr)
 }
 
 // CreateJournalFS starts a fresh journal (truncating any previous file),
@@ -234,17 +229,15 @@ func validResult(res floor.DeviceResult, devices int) bool {
 }
 
 // unwrapLine returns the record payload of one journal line: the CRC
-// envelope's Rec when the checksum verifies, the line itself for legacy
-// CRC-less journals, and nil when the line is corrupt.
+// envelope's Rec when the checksum verifies, and nil when the line is
+// corrupt.
 func unwrapLine(line []byte) []byte {
 	var env crcEnvelope
-	if json.Unmarshal(line, &env) == nil && env.Rec != nil {
-		if env.Crc == nil || crc32.ChecksumIEEE(env.Rec) != *env.Crc {
-			return nil
-		}
-		return env.Rec
+	if json.Unmarshal(line, &env) != nil || env.Rec == nil || env.Crc == nil ||
+		crc32.ChecksumIEEE(env.Rec) != *env.Crc {
+		return nil
 	}
-	return line
+	return env.Rec
 }
 
 // ReplayJournal reads a journal on the real filesystem.
@@ -318,11 +311,6 @@ func ReplayJournalFS(fsys diskfault.FS, path string) (JournalHeader, map[int]flo
 		return hdr, nil, 0, stats, fmt.Errorf("lotrun: journal %s has no valid header", path)
 	}
 	return hdr, results, validEnd, stats, nil
-}
-
-// ResumeJournal reopens a journal for appending on the real filesystem.
-func ResumeJournal(path string, validEnd int64) (*Journal, error) {
-	return ResumeJournalFS(diskfault.OS, path, validEnd)
 }
 
 // ResumeJournalFS reopens a journal for appending, truncated to the end

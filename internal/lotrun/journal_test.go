@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/diskfault"
 	"repro/internal/floor"
 	"repro/internal/lna"
 )
@@ -21,7 +22,7 @@ func mkResult(index int, bin floor.Bin) floor.DeviceResult {
 
 func writeTestJournal(t *testing.T, path string, n int) {
 	t.Helper()
-	j, err := CreateJournal(path, JournalHeader{
+	j, err := CreateJournalFS(diskfault.OS, path, JournalHeader{
 		Type: "header", Version: JournalVersion, LotSeed: 9, Devices: 100, FaultP: 0.1,
 	})
 	if err != nil {
@@ -92,7 +93,7 @@ func TestJournalTruncatedTail(t *testing.T) {
 	}
 
 	// Resume truncates the torn tail and appends cleanly.
-	j, err := ResumeJournal(path, validEnd)
+	j, err := ResumeJournalFS(diskfault.OS, path, validEnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +114,9 @@ func TestJournalTruncatedTail(t *testing.T) {
 }
 
 // TestJournalGarbageAndDuplicates: garbage bytes between records are
-// skipped, and a device journaled twice keeps its first committed record —
-// never a double count.
+// skipped, a well-formed record line without its CRC envelope counts as
+// corrupt and is not replayed, and a device journaled twice keeps its
+// first committed record — never a double count.
 func TestJournalGarbageAndDuplicates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lot.journal")
 	writeTestJournal(t, path, 2)
@@ -122,17 +124,22 @@ func TestJournalGarbageAndDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("\x00\xffgarbage not json\n{\"type\":\"device\"\n"); err != nil {
+	const bare = `{"type":"device","result":{"Index":5,"Bin":0,"Insertions":1,"CleanD":0.5,"TruePass":true}}` + "\n"
+	if _, err := f.WriteString("\x00\xffgarbage not json\n{\"type\":\"device\"\n" + bare); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	j, err := ResumeJournal(path, func() int64 {
-		_, _, end, _, err := ReplayJournal(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return end
-	}())
+	_, results, validEnd, stats, err := ReplayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Records != 2 || stats.Corrupt != 3 {
+		t.Fatalf("garbage: stats %+v, want 2 records 3 corrupt", stats)
+	}
+	if _, ok := results[5]; ok {
+		t.Fatal("a record line without a CRC envelope replayed")
+	}
+	j, err := ResumeJournalFS(diskfault.OS, path, validEnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +152,7 @@ func TestJournalGarbageAndDuplicates(t *testing.T) {
 	}
 	j.Close()
 
-	_, results, _, stats, err := ReplayJournal(path)
+	_, results, _, stats, err = ReplayJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +175,7 @@ func TestJournalGarbageAndDuplicates(t *testing.T) {
 // treated as corruption, not replayed.
 func TestJournalRejectsInvalidRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lot.journal")
-	j, err := CreateJournal(path, JournalHeader{
+	j, err := CreateJournalFS(diskfault.OS, path, JournalHeader{
 		Type: "header", Version: JournalVersion, LotSeed: 1, Devices: 3, FaultP: 0,
 	})
 	if err != nil {

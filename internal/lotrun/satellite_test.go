@@ -53,46 +53,3 @@ func TestJournalCRCDetectsBitFlip(t *testing.T) {
 		}
 	}
 }
-
-// TestJournalLegacyCRCLessAccepted: journals written before the CRC
-// envelope carry records directly on each line; the reader must replay
-// them, and a resumed journal may append CRC'd lines after them.
-func TestJournalLegacyCRCLessAccepted(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "lot.journal")
-	legacy := `{"type":"header","version":1,"lot_seed":9,"devices":100,"fault_p":0.1}
-{"type":"device","result":{"Index":0,"Bin":0,"Insertions":1,"CleanD":0.5,"TruePass":true}}
-`
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	hdr, results, validEnd, stats, err := ReplayJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.LotSeed != 9 || hdr.Fingerprint != 0 {
-		t.Fatalf("legacy header mangled: %+v", hdr)
-	}
-	if stats.Records != 1 || stats.Corrupt != 0 {
-		t.Fatalf("legacy stats %+v, want 1 record 0 corrupt", stats)
-	}
-	if results[0].CleanD != 0.5 {
-		t.Fatalf("legacy record mangled: %+v", results[0])
-	}
-
-	// Mixed journal: CRC'd records appended after legacy lines.
-	j, err := ResumeJournal(path, validEnd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Commit(mkResult(1, floor.BinFail)); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	_, results, _, stats, err = ReplayJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Records != 2 || results[1].Bin != floor.BinFail {
-		t.Fatalf("mixed journal: stats %+v results[1] %+v", stats, results[1])
-	}
-}

@@ -26,9 +26,6 @@ import (
 // device cannot carry a chart past its limit, while a sustained shift
 // still moves every score up.
 type WatchdogConfig struct {
-	// Disabled turns the watchdog off (it is otherwise active whenever the
-	// engine runs gated).
-	Disabled bool
 	// Lambda is the EWMA weight (default 0.2).
 	Lambda float64
 	// EWMALimit is the alarm threshold in asymptotic EWMA sigmas of the
@@ -138,7 +135,7 @@ func (w *Watchdog) ewmaLimit() float64 {
 // charts reset, so the watchdog re-arms (e.g. to verify a recalibration
 // actually brought the process back).
 func (w *Watchdog) Observe(device int, d float64) *DriftAlarm {
-	if w == nil || w.cfg.Disabled {
+	if w == nil {
 		return nil
 	}
 	w.mu.Lock()

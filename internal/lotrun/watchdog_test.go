@@ -39,14 +39,6 @@ func TestWatchdogCharts(t *testing.T) {
 	if len(w.Alarms()) < 2 {
 		t.Fatal("watchdog did not re-arm after the first alarm")
 	}
-
-	// Disabled watchdog observes nothing.
-	w = NewWatchdog(g, WatchdogConfig{Disabled: true})
-	for i := 0; i < 200; i++ {
-		if a := w.Observe(i, 100); a != nil {
-			t.Fatal("disabled watchdog alarmed")
-		}
-	}
 }
 
 // rankedGate is a hand-built gate whose training distances are the n

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/diskfault"
 	"repro/internal/floor"
 	"repro/internal/lna"
 	"repro/internal/lotrun"
@@ -287,52 +288,56 @@ func TestRolloutLifecycleBitIdentical(t *testing.T) {
 
 // TestShadowDivergenceRollback: a divergent candidate in shadow is
 // demoted automatically, with the divergence statistics recorded as
-// evidence — and the incumbent's bins never budge.
+// evidence — and the incumbent's bins never budge, on a clean floor and
+// under 10 % insertion faults alike.
 func TestShadowDivergenceRollback(t *testing.T) {
 	f := getFixture(t)
 	pool := testPool(t, f, 36)
-	reg, err := modelreg.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := serverOpts(f, pool, nil)
-	opt.LocalWorkers = 2
-	opt.Registry = reg
-	opt.ShadowBounds = modelreg.Bounds{MinSamples: 8} // tight default divergence gates
-	s, err := New(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Kill()
+	for _, faults := range []*floor.FaultModel{nil, floor.DefaultFaultModel(0.10)} {
+		reg, err := modelreg.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := serverOpts(f, pool, faults)
+		opt.LocalWorkers = 2
+		opt.Registry = reg
+		opt.ShadowBounds = modelreg.Bounds{MinSamples: 8} // tight default divergence gates
+		s, err := New(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Kill)
 
-	v, err := s.StageCandidate(badCalibration(t, f), f.gate, "mangled retrain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.BeginShadow(v); err != nil {
-		t.Fatal(err)
-	}
-	spec := LotSpec{ID: "victim", Seed: 99, Devices: 36}
-	res := runLotOn(t, s, spec)
-	reportsEqual(t, "incumbent under diverging shadow", res.Report, serialReference(t, f, pool, spec, nil))
+		v, err := s.StageCandidate(badCalibration(t, f), f.gate, "mangled retrain")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.BeginShadow(v); err != nil {
+			t.Fatal(err)
+		}
+		spec := LotSpec{ID: "victim", Seed: 99, Devices: 36}
+		res := runLotOn(t, s, spec)
+		reportsEqual(t, fmt.Sprintf("incumbent under diverging shadow (faults %v)", faults != nil),
+			res.Report, serialReference(t, f, pool, spec, faults))
 
-	waitRolloutCleared(t, reg)
-	d, ok := reg.Demoted(v)
-	if !ok {
-		t.Fatalf("v%d was not demoted", v)
-	}
-	if !strings.Contains(d.Reason, "shadow divergence") {
-		t.Fatalf("demotion reason %q does not name shadow divergence", d.Reason)
-	}
-	if d.Evidence == nil || d.Evidence.Scored < 8 || d.Evidence.Disagree == 0 {
-		t.Fatalf("demotion evidence missing or empty: %+v", d.Evidence)
-	}
-	if rs := s.RolloutStatus(); rs.Rollbacks != 1 || rs.Stage != "" {
-		t.Fatalf("post-rollback status: %+v", rs)
-	}
-	// A demoted version cannot be rolled out again by accident.
-	if err := s.BeginShadow(v); err == nil || !strings.Contains(err.Error(), "demoted") {
-		t.Fatalf("re-rollout of demoted version: %v", err)
+		waitRolloutCleared(t, reg)
+		d, ok := reg.Demoted(v)
+		if !ok {
+			t.Fatalf("v%d was not demoted", v)
+		}
+		if !strings.Contains(d.Reason, "shadow divergence") {
+			t.Fatalf("demotion reason %q does not name shadow divergence", d.Reason)
+		}
+		if d.Evidence == nil || d.Evidence.Scored < 8 || d.Evidence.Disagree == 0 {
+			t.Fatalf("demotion evidence missing or empty: %+v", d.Evidence)
+		}
+		if rs := s.RolloutStatus(); rs.Rollbacks != 1 || rs.Stage != "" {
+			t.Fatalf("post-rollback status: %+v", rs)
+		}
+		// A demoted version cannot be rolled out again by accident.
+		if err := s.BeginShadow(v); err == nil || !strings.Contains(err.Error(), "demoted") {
+			t.Fatalf("re-rollout of demoted version: %v", err)
+		}
 	}
 }
 
@@ -697,7 +702,7 @@ func TestJournalUnknownModelVersionRejected(t *testing.T) {
 	opt.Registry = reg
 
 	spec := LotSpec{ID: "poison", Seed: 5, Devices: 12}
-	jr, err := lotrun.CreateJournal(filepath.Join(opt.JournalDir, spec.ID+".journal"), lotrun.JournalHeader{
+	jr, err := lotrun.CreateJournalFS(diskfault.OS, filepath.Join(opt.JournalDir, spec.ID+".journal"), lotrun.JournalHeader{
 		Type: "header", Version: lotrun.JournalVersion,
 		LotSeed: spec.Seed, Devices: spec.Devices,
 		ModelVersion: 99,

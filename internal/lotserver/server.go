@@ -138,11 +138,6 @@ type Options struct {
 	// per-lot drift watchdog.
 	Breaker  lotrun.BreakerConfig
 	Watchdog lotrun.WatchdogConfig
-	// ModelRTTS and JournalSyncS are the modeled per-assignment round-trip
-	// and per-record fsync costs charged to lot economics (defaults 2ms /
-	// 0.5ms, as in netfloor and lotrun).
-	ModelRTTS    float64
-	JournalSyncS float64
 	// FS is the filesystem seam journals are created, replayed and
 	// written through (default diskfault.OS; chaos tests substitute a
 	// seeded diskfault.FaultFS).
@@ -194,6 +189,13 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+// modelRTTS and journalSyncS are the modeled per-assignment round trip and
+// per-record fsync costs charged to lot economics (LotReport.Load).
+const (
+	modelRTTS    = 2e-3
+	journalSyncS = 0.5e-3
+)
+
 func (o *Options) defaults() {
 	if o.Dialer == nil {
 		o.Dialer = netfloor.TCPDialer
@@ -221,12 +223,6 @@ func (o *Options) defaults() {
 	}
 	if o.RetryMax <= 0 {
 		o.RetryMax = 5 * time.Second
-	}
-	if o.ModelRTTS <= 0 {
-		o.ModelRTTS = 2e-3
-	}
-	if o.JournalSyncS <= 0 {
-		o.JournalSyncS = 0.5e-3
 	}
 	if o.CanaryFraction <= 0 || o.CanaryFraction > 1 {
 		o.CanaryFraction = 0.25
@@ -490,7 +486,6 @@ func New(opt Options) (*Server, error) {
 			Devices:     len(opt.Pool),
 			FaultP:      faultP,
 			Fingerprint: opt.Engine.Fingerprint(),
-			MultiLot:    true,
 		},
 		ctx:      ctx,
 		stop:     cancel,
@@ -705,7 +700,7 @@ func (s *Server) openJournal(l *lot) error {
 		if err := s.pinLot(l, hdr.ModelVersion); err != nil {
 			return err
 		}
-		if hdr.Fingerprint != 0 && hdr.Fingerprint != l.eng.Fingerprint() {
+		if hdr.Fingerprint != l.eng.Fingerprint() {
 			return fmt.Errorf("lotserver: lot %s: journal was written by a differently calibrated engine (fingerprint %016x, model v%d here hashes to %016x): %w",
 				l.spec.ID, hdr.Fingerprint, l.modelVersion, l.eng.Fingerprint(), lotrun.ErrModelMismatch)
 		}
@@ -767,7 +762,7 @@ func (s *Server) pinLot(l *lot, version int) error {
 func (l *lot) initWatchdog(s *Server) {
 	// The watchdog baselines against the pinned model's gate: drift is
 	// measured relative to the calibration actually screening the lot.
-	if l.eng.Gate != nil && !s.opt.Watchdog.Disabled {
+	if l.eng.Gate != nil {
 		l.wd = lotrun.NewWatchdog(l.eng.Gate, s.opt.Watchdog)
 	}
 }
@@ -954,7 +949,7 @@ func (s *Server) finalize(l *lot) {
 	}
 	deg, jerr := l.degradedState()
 	if l.journal != nil || deg {
-		rep.Load.JournalS = float64(l.spec.Devices) * s.opt.JournalSyncS
+		rep.Load.JournalS = float64(l.spec.Devices) * journalSyncS
 	}
 	if deg {
 		rep.JournalDegraded = true
@@ -970,7 +965,7 @@ func (s *Server) finalize(l *lot) {
 	}
 	l.mu.Unlock()
 	sort.Slice(trips, func(i, j int) bool { return trips[i].AfterDevice < trips[j].AfterDevice })
-	rep.Load.NetworkS = float64(assigns) * s.opt.ModelRTTS
+	rep.Load.NetworkS = float64(assigns) * modelRTTS
 	if err := l.eng.Finish(rep); err != nil {
 		s.finishLot(l, nil, fmt.Errorf("%w: %v", ErrAborted, err))
 		return

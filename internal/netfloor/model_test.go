@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/diskfault"
 	"repro/internal/lotrun"
 	"repro/internal/modelreg"
 	"repro/internal/netfloor"
@@ -34,7 +35,7 @@ func readSkippingHeartbeats(t *testing.T, mc *netfloor.MsgConn) *netfloor.Envelo
 	return nil
 }
 
-// siteHello is the multi-lot identity a coordinator presents to site.
+// siteHello is the identity a coordinator presents to site.
 func siteHello(site *netfloor.Site) netfloor.Hello {
 	faultP := 0.0
 	if site.Faults != nil {
@@ -45,7 +46,6 @@ func siteHello(site *netfloor.Site) netfloor.Hello {
 		Devices:     len(site.Lot),
 		FaultP:      faultP,
 		Fingerprint: site.Engine.Fingerprint(),
-		MultiLot:    true,
 	}
 }
 
@@ -105,55 +105,43 @@ func TestHandshakeModelMismatchTyped(t *testing.T) {
 	reportsEqual(t, "lot beside a recalibrated site", serial, res.Report)
 }
 
-// TestSiteRefusesSingleLotHello: a Hello without MultiLot comes from an
-// older single-lot coordinator that pins one lot seed per connection; the
-// site refuses it with identity_mismatch instead of screening under a
-// seed it would never be told.
-func TestSiteRefusesSingleLotHello(t *testing.T) {
-	f := getFixture(t)
-	lot := testLot(t, f, 8)
-	fm := newFarm(t, f, lot, nil, 1)
-	h := siteHello(fm.sites["site0"])
-	h.MultiLot = false
-	mc, env := hello(t, fm, h)
-	if env.Type != netfloor.MsgError || env.Code != netfloor.CodeIdentityMismatch {
-		t.Fatalf("single-lot hello: got %s code %q, want error %q", env.Type, env.Code, netfloor.CodeIdentityMismatch)
-	}
-	if _, err := mc.Read(time.Second); err == nil {
-		t.Fatal("site kept the refused connection open")
-	}
-}
-
 // TestResumeRejectsVersionedJournalTyped: a server without a model
 // registry runs the base model only; a journal pinned to a registry
-// version must be refused with the typed lotrun.ErrModelMismatch.
+// version, or one whose header carries no engine fingerprint, must be
+// refused with the typed lotrun.ErrModelMismatch.
 func TestResumeRejectsVersionedJournalTyped(t *testing.T) {
 	f := getFixture(t)
 	lot := testLot(t, f, 6)
 	const seed = 29
-	dir := t.TempDir()
-
-	jr, err := lotrun.CreateJournal(filepath.Join(dir, "lot.journal"), lotrun.JournalHeader{
-		Type: "header", Version: lotrun.JournalVersion,
-		LotSeed: seed, Devices: len(lot),
-		Fingerprint:  f.engine().Fingerprint(),
-		ModelVersion: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr.Close()
-
 	fm := newFarm(t, f, lot, nil, 1)
-	opt := remoteOpts(f, lot, nil, fm.addrs, fm.dialer(netfloor.FaultProfile{}, 0))
-	opt.JournalDir = dir
-	if _, _, err := serve(t, opt, spec(seed, lot), nil); !errors.Is(err, lotrun.ErrModelMismatch) {
-		t.Fatalf("resume of a version-pinned journal: err=%v, want lotrun.ErrModelMismatch", err)
+
+	for _, pin := range []struct {
+		fingerprint uint64
+		version     int
+	}{{f.engine().Fingerprint(), 2}, {0, 0}} {
+		dir := t.TempDir()
+		jr, err := lotrun.CreateJournalFS(diskfault.OS, filepath.Join(dir, "lot.journal"), lotrun.JournalHeader{
+			Type: "header", Version: lotrun.JournalVersion,
+			LotSeed: seed, Devices: len(lot),
+			Fingerprint:  pin.fingerprint,
+			ModelVersion: pin.version,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jr.Close()
+
+		opt := remoteOpts(f, lot, nil, fm.addrs, fm.dialer(netfloor.FaultProfile{}, 0))
+		opt.JournalDir = dir
+		if _, _, err := serve(t, opt, spec(seed, lot), nil); !errors.Is(err, lotrun.ErrModelMismatch) {
+			t.Fatalf("resume of a journal pinned to fingerprint %016x v%d: err=%v, want lotrun.ErrModelMismatch",
+				pin.fingerprint, pin.version, err)
+		}
 	}
 }
 
 // dialManual opens one connection to a farm site and completes a
-// multi-lot handshake, returning the client conn. The manual client reads
+// handshake, returning the client conn. The manual client reads
 // only when it expects a reply and net.Pipe writes block until read, so a
 // site heartbeat falling due while the test computes would time out and
 // close the connection; the site's beacons (and its idle timer, ten of
@@ -351,17 +339,19 @@ func TestSiteRejectsAssignWithoutDevices(t *testing.T) {
 }
 
 // TestHandshakeRefusesProtocolV1: a version-1 coordinator (single-device
-// assignments) describes a different floor; the site refuses it at the
-// handshake with identity_mismatch instead of failing on its first
-// Assign.
+// assignments) or a version-2 one (multi-lot flag in its Hello) describes
+// a different floor; the site refuses it at the handshake with
+// identity_mismatch instead of failing on its first Assign.
 func TestHandshakeRefusesProtocolV1(t *testing.T) {
 	f := getFixture(t)
 	lot := testLot(t, f, 8)
 	fm := newFarm(t, f, lot, nil, 1)
-	h := siteHello(fm.sites["site0"])
-	h.Version = 1
-	_, env := hello(t, fm, h)
-	if env.Type != netfloor.MsgError || env.Code != netfloor.CodeIdentityMismatch {
-		t.Fatalf("version-1 hello: got %s code %q (%s), want identity_mismatch", env.Type, env.Code, env.Err)
+	for _, v := range []int{1, 2} {
+		h := siteHello(fm.sites["site0"])
+		h.Version = v
+		_, env := hello(t, fm, h)
+		if env.Type != netfloor.MsgError || env.Code != netfloor.CodeIdentityMismatch {
+			t.Fatalf("version-%d hello: got %s code %q (%s), want identity_mismatch", v, env.Type, env.Code, env.Err)
+		}
 	}
 }

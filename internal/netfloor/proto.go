@@ -35,8 +35,10 @@ import (
 
 // ProtocolVersion is carried in every Hello; coordinator and site must
 // match exactly. Version 2 made every Assign a batch (Envelope.Devices,
-// even for one device), so a version-1 peer is refused at the handshake.
-const ProtocolVersion = 2
+// even for one device); version 3 dropped the Hello's multi-lot flag, as
+// every coordinator is the multi-lot lot server. An older peer is refused
+// at the handshake.
+const ProtocolVersion = 3
 
 // maxFrame bounds one message on the wire. A corrupted length prefix is
 // overwhelmingly likely to exceed it, turning bit rot into a clean
@@ -106,11 +108,6 @@ type Hello struct {
 	Devices     int     `json:"devices"`
 	FaultP      float64 `json:"fault_p"`
 	Fingerprint uint64  `json:"fingerprint"`
-	// MultiLot announces a multi-lot coordinator (internal/lotserver): the
-	// connection will carry assignments for many lots, each Assign naming
-	// its own lot seed. Sites refuse a Hello without it — it comes from an
-	// older single-lot coordinator that pinned one lot seed per connection.
-	MultiLot bool `json:"multi_lot,omitempty"`
 }
 
 // Envelope is the one wire message shape; Type selects which fields are

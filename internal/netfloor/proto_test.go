@@ -29,7 +29,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		TruePass: true,
 	}
 	msgs := []*Envelope{
-		{Type: MsgHello, Hello: &Hello{Version: 1, Devices: 10, FaultP: 0.15, Fingerprint: 0xdeadbeef, MultiLot: true}},
+		{Type: MsgHello, Hello: &Hello{Version: 1, Devices: 10, FaultP: 0.15, Fingerprint: 0xdeadbeef}},
 		{Type: MsgAssign, Seq: 3, Device: 7},
 		{Type: MsgResult, Seq: 3, Device: 7, Result: res, Site: "pipe"},
 		{Type: MsgHeartbeat},

@@ -20,9 +20,9 @@ import (
 // so re-screening a re-delivered assignment is harmless; the result cache
 // just makes it instant.
 //
-// A site speaks only the lot server's multi-lot handshake
-// (Hello.MultiLot): every Assign names its own lot seed, and the cache is
-// keyed by (seed, index, model version), so lots never collide.
+// One connection carries many lots: every Assign names its own lot seed,
+// and the cache is keyed by (seed, index, model version), so lots never
+// collide.
 type Site struct {
 	// Name identifies the site in coordinator reports (default the
 	// listener address).
@@ -185,7 +185,6 @@ func (s *Site) hello() Hello {
 		Devices:     len(s.Lot),
 		FaultP:      faultP,
 		Fingerprint: s.Engine.Fingerprint(),
-		MultiLot:    true,
 	}
 }
 
@@ -246,18 +245,13 @@ func (s *Site) Serve(ctx context.Context, ln net.Listener) error {
 }
 
 // handshake validates the coordinator's Hello against this site's
-// identity: the engine fingerprint, fault load and device-pool size, with
-// lot seeds named per assignment. A Hello without MultiLot comes from an
-// older single-lot coordinator and is refused. A refusal carries a typed
-// code: a pure fingerprint disagreement is CodeModelMismatch (the peer
-// needs a different calibration version, an upgrade problem), anything
-// else is CodeIdentityMismatch (a misconfigured floor).
+// identity: protocol version, engine fingerprint, fault load and
+// device-pool size, with lot seeds named per assignment. A refusal carries
+// a typed code: a pure fingerprint disagreement is CodeModelMismatch (the
+// peer needs a different calibration version, an upgrade problem),
+// anything else is CodeIdentityMismatch (a misconfigured floor).
 func (s *Site) handshake(h *Hello) (code string, err error) {
 	want := s.hello()
-	if !h.MultiLot {
-		return CodeIdentityMismatch,
-			fmt.Errorf("single-lot hello refused: this site serves only multi-lot coordinators")
-	}
 	if *h == want {
 		return "", nil
 	}

@@ -151,7 +151,10 @@ func (m MARS) Fit(X *linalg.Matrix, y []float64) (Model, error) {
 	var cands []scored
 	c1, c2 := make([]float64, n), make([]float64, n)
 	w1, w2 := make([]float64, n), make([]float64, n)
-	for len(bases) < m.maxTerms() {
+	// The pass ends at an exact fit too: below nearTie's floor the
+	// improvement test would be decided by rounding noise, re-adding
+	// the same pair until MaxTerms.
+	for len(bases) < m.maxTerms() && sse > 1e-12*yy {
 		parents := []basis{{}}
 		if m.Interactions {
 			parents = bases

@@ -50,7 +50,8 @@ func (m ReferenceMARS) Fit(X *linalg.Matrix, y []float64) (Model, error) {
 	cols := [][]float64{ones(n)}
 	coef, sse := solveLS(cols, y)
 
-	for len(bases) < mm.maxTerms() {
+	yy := linalg.Dot(y, y)
+	for len(bases) < mm.maxTerms() && sse > 1e-12*yy {
 		type cand struct {
 			b1, b2 basis
 			sse    float64

@@ -57,8 +57,35 @@ func marsCase(rng *rand.Rand, n, d int) (*linalg.Matrix, []float64) {
 // picks the same bases with Float64bits-equal coefficients as the
 // SVD-per-candidate reference on randomized problems: 6..120 rows
 // (including 22-row folds), 1..64 features, 3..7 knots, interactions on
-// and off, duplicated and constant columns, scales 1e-6..1e6.
+// and off, duplicated and constant columns, scales 1e-6..1e6. No fit may
+// hold the same basis twice, and a constant target fits with the
+// intercept alone.
 func TestMARSFitBitIdentity(t *testing.T) {
+	check := func(t *testing.T, m MARS, X *linalg.Matrix, y []float64) *marsModel {
+		t.Helper()
+		got, err := m.Fit(X, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ReferenceMARS(m).Fit(X, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := MARSDiff(got, want); diff != "" {
+			t.Fatalf("Fit differs from the SVD-per-candidate reference: %s", diff)
+		}
+		mm := got.(*marsModel)
+		seen := make(map[string]int, len(mm.bases))
+		for i, b := range mm.bases {
+			key := fmt.Sprint(b)
+			if j, dup := seen[key]; dup {
+				t.Fatalf("bases %d and %d are both %v: %v", j, i, b, mm.bases)
+			}
+			seen[key] = i
+		}
+		return mm
+	}
+
 	rng := rand.New(rand.NewSource(22))
 	trials := 48
 	if testing.Short() {
@@ -73,17 +100,18 @@ func TestMARSFitBitIdentity(t *testing.T) {
 		}
 		X, y := marsCase(rng, n, d)
 		t.Run(fmt.Sprintf("n=%d/d=%d/knots=%d/terms=%d/inter=%v", n, d, m.Knots, m.MaxTerms, m.Interactions), func(t *testing.T) {
-			got, err := m.Fit(X, y)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ReferenceMARS(m).Fit(X, y)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if diff := MARSDiff(got, want); diff != "" {
-				t.Fatalf("Fit differs from the SVD-per-candidate reference: %s", diff)
-			}
+			check(t, m, X, y)
 		})
 	}
+
+	t.Run("constant-y", func(t *testing.T) {
+		X, _ := marsCase(rng, 40, 6)
+		y := make([]float64, X.Rows)
+		for i := range y {
+			y[i] = 3
+		}
+		if mm := check(t, MARS{MaxTerms: 9, Knots: 5}, X, y); len(mm.bases) != 1 {
+			t.Fatalf("constant target fit %d bases, want the intercept alone: %v", len(mm.bases), mm.bases)
+		}
+	})
 }
